@@ -7,6 +7,9 @@
 // A Client is safe for concurrent use. Writes are serialised internally; a
 // dedicated reader goroutine dispatches stream data, sample responses and
 // pongs, so a subscription keeps flowing while other calls are in flight.
+// The connection machinery — dial, TLS, backoff, generation-tagged RPC — is
+// internal/netgossip's Session, the one framed-session implementation the
+// daemon's cluster member connections run on too.
 //
 // Clients dialled with DialOptions.Reconnect survive daemon restarts: when
 // the connection drops, the client redials with exponential backoff and
@@ -32,13 +35,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"nodesampling"
 	"nodesampling/internal/netgossip"
-	"nodesampling/internal/rng"
 	"nodesampling/internal/subhub"
 )
 
@@ -105,48 +108,18 @@ func (o DialOptions) withDefaults() DialOptions {
 	return o
 }
 
-// taggedToken is a pong response tagged with the read-session generation
-// that produced it, so a pong buffered across a reconnect can never be
-// mistaken for the current session's answer.
-type taggedToken struct {
-	token uint64
-	gen   uint64
-}
-
-// taggedIDs is a sample response tagged the same way.
-type taggedIDs struct {
-	ids []uint64
-	gen uint64
-}
-
 // Client is one framed connection to an unsd daemon (transparently
-// re-established under DialOptions.Reconnect).
+// re-established under DialOptions.Reconnect). The connection itself — dial,
+// TLS, backoff supervision, generation-tagged RPC — is a netgossip.Session;
+// the client adds the stream dispatch and the subscription it re-issues on
+// every fresh connection.
 type Client struct {
-	addr string
-	opts DialOptions
-
-	// Cluster dialling (DialCluster): the full address list and the index
-	// of the member currently dialled. A failed redial attempt rotates to
-	// the next member, so a down daemon only costs one backoff step before
-	// the client rides a healthy one. Guarded by mu after construction.
-	addrs   []string
-	addrIdx int
-
-	// canRedial is fixed at construction: whether the client knows an
-	// address to redial at all (false for New over a raw connection).
-	canRedial bool
-
-	wmu sync.Mutex // serialises frame writes
-
-	// rpcMu admits one request/response exchange (Sample or Ping) at a
-	// time, so responses need no correlation ids on the wire.
-	rpcMu   sync.Mutex
-	samplec chan taggedIDs
-	pongc   chan taggedToken
+	s *netgossip.Session
+	// reconnect is fixed at construction: whether the session has
+	// addresses to redial (DialOptions.Reconnect on a dialled client).
+	reconnect bool
 
 	mu       sync.Mutex
-	conn     net.Conn                 // current connection; swapped on reconnect
-	gen      uint64                   // bumped with every fresh connection (session identity)
 	stream   chan nodesampling.NodeID // nil until Subscribe
 	subCap   int                      // saved Subscribe arguments for re-subscription
 	subEvery int
@@ -156,15 +129,11 @@ type Client struct {
 	// phase where the old session left off instead of restarting the
 	// 1-in-every window.
 	resumeToken uint64
-	err         error // first fatal error, behind done
+	err         error // terminal error, behind done
 
-	done          chan struct{} // closed when the supervisor exits for good
-	closing       atomic.Bool
-	closingCh     chan struct{} // closed by Close; unblocks backoff sleeps
-	closeOnce     sync.Once
+	done          chan struct{} // closed by finalize once the session has ended
 	pingSeq       atomic.Uint64
 	streamDropped atomic.Uint64
-	reconnects    atomic.Uint64
 }
 
 // Dial connects to an unsd stream listener.
@@ -178,17 +147,7 @@ func Dial(addr string) (*Client, error) {
 // an unauthentic server certificate or a rejected client certificate fails
 // immediately; only established connections are re-dialled.
 func DialWithOptions(addr string, opts DialOptions) (*Client, error) {
-	opts = opts.withDefaults()
-	conn, err := dial(addr, opts)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
-	c := newClient(conn)
-	c.addr = addr
-	c.canRedial = addr != ""
-	c.opts = opts
-	go c.supervise(conn)
-	return c, nil
+	return DialCluster([]string{addr}, opts)
 }
 
 // DialCluster connects to one member of an unsd cluster, trying the given
@@ -203,74 +162,20 @@ func DialCluster(addrs []string, opts DialOptions) (*Client, error) {
 		return nil, errors.New("client: no cluster addresses")
 	}
 	opts = opts.withDefaults()
-	var conn net.Conn
 	var err error
-	idx := -1
 	for i, a := range addrs {
-		if conn, err = dial(a, opts); err == nil {
-			idx = i
-			break
+		var conn net.Conn
+		if conn, err = netgossip.DialConn(a, opts.TLS, handshakeTimeout); err != nil {
+			continue
 		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("client: dial cluster %v: %w", addrs, err)
-	}
-	c := newClient(conn)
-	c.addr = addrs[idx]
-	c.addrs = append([]string(nil), addrs...)
-	c.addrIdx = idx
-	c.canRedial = true
-	c.opts = opts
-	go c.supervise(conn)
-	return c, nil
-}
-
-// currentAddr reads the address the next dial should use.
-func (c *Client) currentAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addr
-}
-
-// rotateAddr advances to the next cluster member after a failed dial
-// attempt; single-address clients keep their one address.
-func (c *Client) rotateAddr() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.addrs) > 1 {
-		c.addrIdx = (c.addrIdx + 1) % len(c.addrs)
-		c.addr = c.addrs[c.addrIdx]
-	}
-}
-
-// dial establishes one transport connection to addr, completing the TLS
-// handshake up front when opts.TLS is set: a misconfigured, unauthentic or
-// plaintext endpoint fails the dial loudly instead of poisoning the framed
-// protocol with ciphertext. An empty ServerName is filled from the dialled
-// host, like tls.Dial does.
-func dial(addr string, opts DialOptions) (net.Conn, error) {
-	conn, err := (&net.Dialer{Timeout: handshakeTimeout}).Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	if opts.TLS == nil {
-		return conn, nil
-	}
-	cfg := opts.TLS
-	if cfg.ServerName == "" {
-		if host, _, err := net.SplitHostPort(addr); err == nil {
-			cfg = cfg.Clone()
-			cfg.ServerName = host
+		var redial []string
+		if opts.Reconnect {
+			// Redials start at the member that answered and rotate on.
+			redial = append(append(redial, addrs[i:]...), addrs[:i]...)
 		}
+		return start(conn, redial, opts), nil
 	}
-	tconn := tls.Client(conn, cfg)
-	_ = tconn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if err := tconn.Handshake(); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("tls handshake: %w", err)
-	}
-	_ = tconn.SetDeadline(time.Time{})
-	return tconn, nil
+	return nil, fmt.Errorf("client: dial %s: %w", strings.Join(addrs, ","), err)
 }
 
 // New wraps an established connection (any net.Conn speaking the framed
@@ -278,196 +183,74 @@ func dial(addr string, opts DialOptions) (net.Conn, error) {
 // built from a raw connection has no address to redial, so it never
 // reconnects.
 func New(conn net.Conn) *Client {
-	c := newClient(conn)
-	go c.supervise(conn)
+	return start(conn, nil, DialOptions{})
+}
+
+func start(conn net.Conn, redial []string, opts DialOptions) *Client {
+	c := &Client{reconnect: len(redial) > 0, done: make(chan struct{})}
+	c.s = netgossip.NewSession(netgossip.SessionConfig{
+		Addrs:       redial,
+		TLS:         opts.TLS,
+		DialTimeout: handshakeTimeout,
+		MinBackoff:  opts.MinBackoff,
+		MaxBackoff:  opts.MaxBackoff,
+		MaxAttempts: opts.MaxAttempts,
+		OnConnect:   c.resubscribe,
+		OnFrame:     c.onFrame,
+	})
+	c.s.Start(conn)
+	go c.finalize()
 	return c
 }
 
-func newClient(conn net.Conn) *Client {
-	return &Client{
-		conn:      conn,
-		gen:       1,
-		samplec:   make(chan taggedIDs, 1),
-		pongc:     make(chan taggedToken, 1),
-		done:      make(chan struct{}),
-		closingCh: make(chan struct{}),
-	}
-}
-
-// supervise owns the connection lifecycle: it runs read sessions and — when
-// reconnection is enabled — replaces failed connections until Close or the
-// attempt budget is exhausted. Backoff state survives across sessions: a
-// connection that dies before proving itself productive (no frame read,
-// gone within a backoff window) counts as one more failed attempt rather
-// than resetting the clock, so a daemon that accepts-then-drops (full, or
-// crash-looping) is retried at backoff pace, not network speed.
-func (c *Client) supervise(conn net.Conn) {
-	attempts := 0
-	backoff := c.opts.MinBackoff
-	var err error
-	for {
-		c.mu.Lock()
-		gen := c.gen
-		c.mu.Unlock()
-		started := time.Now()
-		var productive bool
-		productive, err = c.readSession(conn, gen)
-		if productive || time.Since(started) > c.opts.MaxBackoff {
-			attempts, backoff = 0, c.opts.MinBackoff
-		}
-		if c.closing.Load() || !c.opts.Reconnect || !c.canRedial {
-			break
-		}
-		var rerr error
-		conn, attempts, backoff, rerr = c.redial(attempts, backoff)
-		if rerr != nil {
-			err = rerr
-			break
-		}
-		c.reconnects.Add(1)
-	}
-	c.finalize(err)
-}
-
-// readSession is one connection's read loop: it dispatches every incoming
-// frame until the connection fails or the server reports a terminal error.
-// gen identifies the session, and every rpc response is delivered tagged
-// with it: a pong (or sample response) left buffered when the session dies
-// must not be mistaken for the next session's answer — without the tag, a
-// Ping straddling a reconnect could consume the previous session's pong
-// token, fail the echo check, and condemn a perfectly healthy connection.
-// productive reports whether at least one frame was read (the signal that
-// the dial reached a live daemon, used to reset the reconnect backoff).
-func (c *Client) readSession(conn net.Conn, gen uint64) (productive bool, err error) {
-	for {
-		f, err := netgossip.ReadFrame(conn)
-		if err != nil {
-			return productive, err
-		}
-		productive = true
-		switch f.Type {
-		case netgossip.FrameStreamData:
-			c.dispatchStream(f.IDs)
-		case netgossip.FrameSampleResp:
-			deliverRPC(c.samplec, taggedIDs{ids: f.IDs, gen: gen})
-		case netgossip.FramePong:
-			deliverRPC(c.pongc, taggedToken{token: f.Token, gen: gen})
-		case netgossip.FrameSubAck:
-			// The daemon's subscription acknowledgement: the token redeems
-			// this subscription's decimation phase on a reconnect.
-			c.mu.Lock()
-			c.resumeToken = f.Token
-			c.mu.Unlock()
-		case netgossip.FrameError:
-			return productive, fmt.Errorf("client: server error: %s", f.Msg)
-		default:
-			return productive, fmt.Errorf("client: unexpected frame type %d from server", f.Type)
-		}
-	}
-}
-
-// deliverRPC hands a response to the single-slot rpc channel, evicting
-// whatever is already buffered when it is full — by construction an
-// abandoned or stale-session response, which must never be the reason the
-// current response is the one dropped. Only one read session runs at a
-// time, so the evict-and-retry cannot race another producer; a consumer
-// stealing the buffered slot in between just makes the retry succeed.
-func deliverRPC[T any](ch chan T, v T) {
-	select {
-	case ch <- v:
-		return
-	default:
-	}
-	select {
-	case <-ch:
-	default:
-	}
-	select {
-	case ch <- v:
-	default:
-	}
-}
-
-// redial re-establishes the connection with exponential backoff and
-// jitter, then re-issues the stream subscription if one is active. It
-// returns the new live connection, already installed as c.conn, along with
-// the carried-forward attempt count and backoff. Every failure mode — dial
-// error, teardown during dial, re-subscribe write failure — spends one
-// attempt against MaxAttempts and waits out the backoff.
-func (c *Client) redial(attempts int, backoff time.Duration) (net.Conn, int, time.Duration, error) {
-	jitter := rng.New(uint64(time.Now().UnixNano()))
-	for {
-		if attempts > 0 {
-			// Full jitter keeps a fleet of clients from re-dialling a
-			// restarted daemon in lockstep.
-			delay := backoff/2 + time.Duration(jitter.Uint64n(uint64(backoff/2)+1))
-			select {
-			case <-time.After(delay):
-			case <-c.closingCh:
-				return nil, attempts, backoff, ErrClosed
-			}
-			backoff *= 2
-			if backoff > c.opts.MaxBackoff {
-				backoff = c.opts.MaxBackoff
-			}
-		}
-		if c.closing.Load() {
-			return nil, attempts, backoff, ErrClosed
-		}
-		attempts++
-		addr := c.currentAddr()
-		conn, err := dial(addr, c.opts)
-		if err == nil {
-			c.mu.Lock()
-			if c.closing.Load() {
-				c.mu.Unlock()
-				_ = conn.Close()
-				return nil, attempts, backoff, ErrClosed
-			}
-			c.conn = conn
-			c.gen++ // a fresh session: rpc responses of the old one are stale
-			subscribed, capacity, every := c.stream != nil, c.subCap, c.subEvery
-			rate, token := c.subRate, c.resumeToken
-			c.mu.Unlock()
-			if subscribed {
-				// The re-subscription carries the previous session's resume
-				// token, so the daemon continues the decimation phase
-				// mid-window instead of restarting it.
-				if werr := c.write(netgossip.Frame{Type: netgossip.FrameSubscribe, N: uint32(capacity), Every: uint32(every), Rate: rate, Token: token}); werr != nil {
-					// The fresh connection died before the subscription was
-					// re-established; treat it like any other failed attempt.
-					_ = conn.Close()
-					err = werr
-				}
-			}
-			if err == nil {
-				return conn, attempts, backoff, nil
-			}
-		}
-		// Move on to the next cluster member (if there is one) before the
-		// backoff sleep: one down daemon costs one attempt, not the client.
-		c.rotateAddr()
-		if c.opts.MaxAttempts > 0 && attempts >= c.opts.MaxAttempts {
-			return nil, attempts, backoff, fmt.Errorf("client: reconnect to %s gave up after %d attempts: %w", addr, attempts, err)
-		}
-	}
-}
-
-// finalize records the terminal error and tears the client down. It is the
-// only closer of the subscription channel, so stream sends never race a
-// close.
-func (c *Client) finalize(err error) {
+// resubscribe re-issues an active subscription on a fresh connection. It
+// carries the previous connection's resume token, so the daemon continues
+// the decimation phase mid-window instead of restarting it.
+func (c *Client) resubscribe() error {
 	c.mu.Lock()
-	if c.closing.Load() {
-		c.err = ErrClosed
-	} else {
-		c.err = err
+	subscribed := c.stream != nil
+	f := netgossip.Frame{Type: netgossip.FrameSubscribe, N: uint32(c.subCap), Every: uint32(c.subEvery), Rate: c.subRate, Token: c.resumeToken}
+	c.mu.Unlock()
+	if !subscribed {
+		return nil
 	}
+	return c.s.Write(f)
+}
+
+// onFrame handles the frames that are not RPC responses: σ′ stream data
+// and the daemon's subscription acknowledgement, whose token redeems this
+// subscription's decimation phase on a reconnect.
+func (c *Client) onFrame(f netgossip.Frame) error {
+	switch f.Type {
+	case netgossip.FrameStreamData:
+		c.dispatchStream(f.IDs)
+	case netgossip.FrameSubAck:
+		c.mu.Lock()
+		c.resumeToken = f.Token
+		c.mu.Unlock()
+	default:
+		return fmt.Errorf("unexpected frame type %d from server", f.Type)
+	}
+	return nil
+}
+
+// finalize waits for the session to end for good, records the terminal
+// error and closes the subscription channel. It is the only closer of that
+// channel and runs after the session's read loop has stopped, so stream
+// sends never race the close.
+func (c *Client) finalize() {
+	<-c.s.Done()
+	err := c.s.Err()
+	if errors.Is(err, netgossip.ErrClosed) {
+		err = ErrClosed
+	} else {
+		err = fmt.Errorf("client: %w", err)
+	}
+	c.mu.Lock()
+	c.err = err
 	stream := c.stream
 	c.stream = nil
-	conn := c.conn
 	c.mu.Unlock()
-	_ = conn.Close()
 	close(c.done)
 	if stream != nil {
 		close(stream)
@@ -495,41 +278,22 @@ func (c *Client) dispatchStream(ids []uint64) {
 	}
 }
 
-// write sends one frame under the write lock, against the current
-// connection. During a reconnection window the stale connection fails the
-// write, surfacing a transient error to the caller.
+// write sends one frame on the current connection. During a reconnection
+// window it fails with a transient error.
 func (c *Client) write(f netgossip.Frame) error {
-	_, err := c.writeRPC(f)
-	return err
+	if err := c.s.Write(f); err != nil {
+		return c.fail("write", err)
+	}
+	return nil
 }
 
-// writeRPC is write for request/response exchanges: it also returns the
-// session generation the frame was written against, so the caller can
-// match the response to the session that should answer it (and recognise
-// that no answer can come once that session is gone).
-func (c *Client) writeRPC(f netgossip.Frame) (uint64, error) {
-	select {
-	case <-c.done:
-		return 0, c.Err()
-	default:
+// fail names a failed operation — or, once the client has ended for good,
+// reports the terminal error instead.
+func (c *Client) fail(op string, err error) error {
+	if cerr := c.Err(); cerr != nil {
+		return cerr
 	}
-	c.mu.Lock()
-	conn := c.conn
-	gen := c.gen
-	c.mu.Unlock()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := netgossip.WriteFrame(conn, f); err != nil {
-		return gen, fmt.Errorf("client: write: %w", err)
-	}
-	return gen, nil
-}
-
-// sessionGen reports the generation of the current connection.
-func (c *Client) sessionGen() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
+	return fmt.Errorf("client: %s: %w", op, err)
 }
 
 // PushBatch feeds identifiers into the daemon's input stream. Batches
@@ -562,105 +326,28 @@ func (c *Client) Sample(n int) ([]nodesampling.NodeID, error) {
 	if n < 1 || n > netgossip.MaxBatch {
 		return nil, fmt.Errorf("client: sample count must be in [1, %d], got %d", netgossip.MaxBatch, n)
 	}
-	c.rpcMu.Lock()
-	defer c.rpcMu.Unlock()
-	// Clear any abandoned response from a timed-out predecessor.
-	select {
-	case <-c.samplec:
-	default:
-	}
-	gen, err := c.writeRPC(netgossip.Frame{Type: netgossip.FrameSample, N: uint32(n)})
+	resp, err := c.s.Call(netgossip.Frame{Type: netgossip.FrameSample, N: uint32(n)}, netgossip.FrameSampleResp, rpcTimeout)
 	if err != nil {
-		return nil, err
+		return nil, c.fail("sample", err)
 	}
-	timeout := time.After(rpcTimeout)
-	for {
-		select {
-		case resp := <-c.samplec:
-			if resp.gen != gen {
-				// A response buffered by a previous session (possible when
-				// the rpc straddles a reconnect) answers a request that no
-				// longer exists; keep waiting for this session's answer.
-				continue
-			}
-			out := make([]nodesampling.NodeID, len(resp.ids))
-			for i, id := range resp.ids {
-				out[i] = nodesampling.NodeID(id)
-			}
-			return out, nil
-		case <-c.done:
-			return nil, c.Err()
-		case <-timeout:
-			// The response may still arrive later and would be mistaken for
-			// the answer to the next request; the connection is indeterminate
-			// now, so tear it down — unless the session this request was
-			// written to is already gone and replaced, in which case the
-			// successor is healthy and owes this rpc nothing.
-			c.dropSessionIf(gen)
-			return nil, errors.New("client: sample response timed out")
-		}
+	out := make([]nodesampling.NodeID, len(resp.IDs))
+	for i, id := range resp.IDs {
+		out[i] = nodesampling.NodeID(id)
 	}
-}
-
-// dropSessionIf discards the current connection, but only if it is still
-// the session the failed rpc was written to: the generation comparison and
-// the connection capture happen under one lock acquisition, so a redial
-// landing between an rpc timeout and its teardown can never cost the
-// healthy successor its fresh connection (closing the captured connection
-// outside the lock is safe — it is the stale session's, already dead). A
-// reconnecting client then gets a replacement from the supervisor
-// (re-subscribing as needed); any other client closes for good.
-func (c *Client) dropSessionIf(gen uint64) {
-	if c.opts.Reconnect && c.canRedial {
-		c.mu.Lock()
-		conn := c.conn
-		current := c.gen == gen
-		c.mu.Unlock()
-		if current {
-			_ = conn.Close()
-		}
-		return
-	}
-	_ = c.Close()
+	return out, nil
 }
 
 // Ping round-trips a keepalive token and verifies the echo.
 func (c *Client) Ping() error {
-	c.rpcMu.Lock()
-	defer c.rpcMu.Unlock()
-	select {
-	case <-c.pongc:
-	default:
-	}
 	token := c.pingSeq.Add(1)
-	gen, err := c.writeRPC(netgossip.Frame{Type: netgossip.FramePing, Token: token})
+	resp, err := c.s.Call(netgossip.Frame{Type: netgossip.FramePing, Token: token}, netgossip.FramePong, rpcTimeout)
 	if err != nil {
-		return err
+		return c.fail("ping", err)
 	}
-	timeout := time.After(rpcTimeout)
-	for {
-		select {
-		case echo := <-c.pongc:
-			if echo.gen != gen {
-				// The previous session's pong, buffered across a reconnect:
-				// not this Ping's echo, and no reason to fail a healthy new
-				// session. Wait on.
-				continue
-			}
-			if echo.token != token {
-				return fmt.Errorf("client: pong token %d, want %d", echo.token, token)
-			}
-			return nil
-		case <-c.done:
-			return c.Err()
-		case <-timeout:
-			// As with Sample: a late pong would desynchronise the next
-			// exchange, so drop the session — but only the session this ping
-			// was actually written to, never a healthy successor.
-			c.dropSessionIf(gen)
-			return errors.New("client: pong timed out")
-		}
+	if resp.Token != token {
+		return fmt.Errorf("client: pong token %d, want %d", resp.Token, token)
 	}
+	return nil
 }
 
 // Subscribe asks the daemon to stream σ′ to this connection and returns
@@ -721,8 +408,8 @@ func (c *Client) SubscribeRate(capacity, every int, rate uint32) (<-chan nodesam
 		c.mu.Unlock()
 		return nil, errors.New("client: already subscribed")
 	}
-	// c.err is assigned inside the supervisor's final c.mu section, before
-	// it snapshots c.stream for closing — so checking it here (rather than
+	// c.err is assigned inside finalize's c.mu section, before it
+	// snapshots c.stream for closing — so checking it here (rather than
 	// c.done, which closes later) guarantees either this registration is
 	// observed by the teardown or the teardown is observed here.
 	if c.err != nil {
@@ -735,17 +422,20 @@ func (c *Client) SubscribeRate(capacity, every int, rate uint32) (<-chan nodesam
 	c.subCap, c.subEvery, c.subRate = capacity, every, rate
 	c.mu.Unlock()
 	if err := c.write(netgossip.Frame{Type: netgossip.FrameSubscribe, N: uint32(capacity), Every: uint32(every), Rate: rate}); err != nil {
-		if c.opts.Reconnect && c.canRedial && !c.closing.Load() {
-			// The registration stands: the supervisor will re-issue it on
-			// the next connection, so the subscription survives a restart
-			// that lands exactly here.
-			return ch, nil
+		if c.reconnect {
+			select {
+			case <-c.s.Done():
+			default:
+				// The registration stands: the session re-issues it on the
+				// next connection, so the subscription survives a restart
+				// that lands exactly here.
+				return ch, nil
+			}
 		}
-		// The supervisor is the only closer of the stream channel (closing
-		// it here would race a concurrent dispatchStream send); a
-		// connection whose Subscribe could not be written is dead weight
-		// anyway, so tear it down and let the supervisor close ch on its
-		// way out.
+		// finalize is the only closer of the stream channel (closing it
+		// here would race a concurrent dispatchStream send); a connection
+		// whose Subscribe could not be written is dead weight anyway, so
+		// tear it down and let finalize close ch on its way out.
 		_ = c.Close()
 		return nil, err
 	}
@@ -758,7 +448,7 @@ func (c *Client) StreamDropped() uint64 { return c.streamDropped.Load() }
 
 // Reconnects reports how many times the client re-established its
 // connection (always 0 without DialOptions.Reconnect).
-func (c *Client) Reconnects() uint64 { return c.reconnects.Load() }
+func (c *Client) Reconnects() uint64 { return c.s.Reconnects() }
 
 // Err returns the error that terminated the connection, or nil while it is
 // live (including while a reconnecting client is between connections).
@@ -773,15 +463,10 @@ func (c *Client) Err() error {
 	return c.err
 }
 
-// Close tears the connection down and waits for the supervisor (closing
-// any subscription channel). Idempotent.
+// Close tears the connection down and waits for the session to end and
+// any subscription channel to close. Idempotent.
 func (c *Client) Close() error {
-	c.closing.Store(true)
-	c.closeOnce.Do(func() { close(c.closingCh) })
-	c.mu.Lock()
-	conn := c.conn
-	c.mu.Unlock()
-	_ = conn.Close()
+	c.s.Close()
 	<-c.done
 	return nil
 }

@@ -223,6 +223,13 @@ func (s *restartableServer) start(ln net.Listener) {
 				return
 			}
 			s.mu.Lock()
+			if s.ln != ln {
+				// Killed between Accept and here: the crash takes this
+				// connection down too.
+				s.mu.Unlock()
+				_ = conn.Close()
+				return
+			}
 			s.conn = conn
 			s.mu.Unlock()
 			go s.serve(conn)
@@ -438,76 +445,5 @@ func TestClientNoReconnectByDefault(t *testing.T) {
 	}
 	if c.Reconnects() != 0 {
 		t.Fatal("plain client reconnected")
-	}
-}
-
-// TestPingIgnoresStaleSessionPong pins the stale-pong-across-reconnect
-// bugfix: a pong buffered by a *previous* read session can surface exactly
-// in the window between a new Ping's drain and its response — without
-// generation tagging, the Ping would consume the stale token, fail the
-// echo check, and condemn a healthy connection. The test reproduces the
-// window deterministically: the server holds the real pong back while a
-// stale-generation pong is injected into the rpc channel.
-func TestPingIgnoresStaleSessionPong(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	gotPing := make(chan uint64, 4)
-	release := make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			f, err := netgossip.ReadFrame(conn)
-			if err != nil {
-				return
-			}
-			if f.Type != netgossip.FramePing {
-				continue
-			}
-			gotPing <- f.Token
-			<-release
-			if err := netgossip.WriteFrame(conn, netgossip.Frame{Type: netgossip.FramePong, Token: f.Token}); err != nil {
-				return
-			}
-		}
-	}()
-
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	pingErr := make(chan error, 1)
-	go func() { pingErr <- c.Ping() }()
-	select {
-	case <-gotPing:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never received the ping")
-	}
-	// The Ping has drained pongc and written its frame; now the previous
-	// session's leftover pong arrives (what a reconnect turnover buffers).
-	c.pongc <- taggedToken{token: 777, gen: c.sessionGen() - 1}
-	close(release)
-	select {
-	case err := <-pingErr:
-		if err != nil {
-			t.Fatalf("Ping failed on a stale session's pong: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Ping never completed")
-	}
-	// The channel must not stay poisoned: the next exchange works too, and
-	// the connection was never condemned.
-	if err := c.Ping(); err != nil {
-		t.Fatalf("follow-up Ping: %v", err)
-	}
-	if err := c.Err(); err != nil {
-		t.Fatalf("healthy connection was torn down: %v", err)
 	}
 }

@@ -647,6 +647,16 @@ func TestStreamResumeTokenLifecycle(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// The push travels on another connection: wait until the subscription
+	// is live, or the draws may all be published before it exists.
+	waitFor(t, "the legacy subscription to register", func() bool {
+		for _, s := range d.pool.Stats().Subscribers {
+			if s.Every == 2 {
+				return true
+			}
+		}
+		return false
+	})
 	if err := pusher.PushBatch(ids); err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,105 @@ package main
 import (
 	"crypto/tls"
 	"encoding/json"
+	"net"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"nodesampling/client"
 	"nodesampling/internal/netgossip"
 )
 
+// TestGossipAddressServesStreamHandler: -gossip is one more address of the
+// framed stream handler, so it works without -stream. A netgossip.Peer's
+// pushes land in the pool and count as framed connections, the same
+// address answers stream RPCs, and a client still speaking the retired v1
+// batch protocol gets a FrameError naming the replacement before the drop.
+func TestGossipAddressServesStreamHandler(t *testing.T) {
+	ctx, cancel := testContext(t)
+	var sb safeBuilder
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{
+			"-http", "127.0.0.1:0", "-gossip", "127.0.0.1:0",
+			"-shards", "2", "-c", "5", "-k", "6", "-s", "3", "-seed", "13",
+		}, &sb)
+	}()
+	gossipAddr := waitForListener(t, &sb, "gossip listening on ")
+	httpAddr := waitForListener(t, &sb, "http listening on ")
+
+	sender, err := netgossip.NewPeer(netgossip.Config{Self: 9, C: 10, K: 8, S: 4, Fanout: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	if err := sender.Connect(gossipAddr); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for i := 0; i < 500; i++ {
+			if _, err := sender.PushRound(); err != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	var stats struct {
+		Processed uint64 `json:"processed"`
+		Conns     int    `json:"stream_connections"`
+	}
+	waitFor(t, "gossiped ids to reach the pool", func() bool {
+		getJSON(t, "http://"+httpAddr+"/stats", &stats)
+		return stats.Processed > 0 && stats.Conns == 1
+	})
+
+	c, err := client.Dial(gossipAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("stream RPC on the gossip address: %v", err)
+	}
+
+	legacy, err := net.Dial("tcp", gossipAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer legacy.Close()
+	// The head of a v1 batch frame (magic 'u', version 1, count 1, first
+	// payload byte): exactly a framed header's length.
+	if _, err := legacy.Write([]byte{0x75, 1, 0, 0, 0, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	_ = legacy.SetReadDeadline(time.Now().Add(5 * time.Second))
+	f, err := netgossip.ReadFrame(legacy)
+	if err != nil || f.Type != netgossip.FrameError {
+		t.Fatalf("v1 client got %v, %v; want a FrameError", f.Type, err)
+	}
+	if !strings.Contains(f.Msg, "v1") || !strings.Contains(f.Msg, "version 2") {
+		t.Fatalf("refusal %q does not name the retired and replacement protocols", f.Msg)
+	}
+	if _, err := legacy.Read(make([]byte, 1)); err == nil {
+		t.Fatal("v1 connection not dropped after the refusal")
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not shut down")
+	}
+}
+
 // TestGossipListenerTLS closes the last plaintext gap: with the TLS plane
-// configured, the legacy one-way -gossip listener speaks TLS (mutual TLS
-// under -tls-client-ca) exactly like the framed stream listener. A
+// configured, the -gossip address speaks TLS (mutual TLS under
+// -tls-client-ca) exactly like the framed stream listener it is one more
+// address of. A
 // plaintext gossiper and a certificate-less TLS gossiper are both turned
 // away before a single id reaches the pool; a peer presenting a
 // certificate chained to the daemon's CA feeds it.

@@ -1,14 +1,18 @@
 // Command unsd is the uniform node sampling daemon: the deployable,
 // high-throughput form of the paper's sampling service. It absorbs node
-// identifiers from three directions — netgossip batches on a TCP listener
-// (the overlay's σ streams), POST /push over HTTP, and PushBatch frames on
-// the stream listener — into a sharded sampling pool, and serves uniform
-// samples, the pooled memory Γ, the continuous output stream σ′ and
-// operational statistics.
+// identifiers from two directions — POST /push over HTTP, and PushBatch
+// frames on its one framed handler (the overlay's σ streams) — into a
+// sharded sampling pool, and serves uniform samples, the pooled memory Γ,
+// the continuous output stream σ′ and operational statistics.
 //
 // Usage:
 //
 //	unsd -http 127.0.0.1:8080 -stream 127.0.0.1:7947 -gossip 127.0.0.1:7946 -shards 8 -c 25
+//
+// -stream and -gossip are two addresses of the same framed stream handler:
+// gossip peers push PushBatch frames, a subset of the stream protocol, and
+// get the same TLS plane, connection cap and idle deadlines. -connect dials
+// gossip peers and serves each connection with that handler too.
 //
 // HTTP endpoints:
 //
@@ -90,10 +94,10 @@
 // network, which is only appropriate on loopback or inside a private
 // enclave):
 //
-//	-tls-cert/-tls-key   serve TLS on the HTTP, framed stream and legacy
-//	                     gossip listeners
+//	-tls-cert/-tls-key   serve TLS on the HTTP listener and the framed
+//	                     handler's -stream and -gossip addresses
 //	-tls-client-ca       require and verify client certificates on the
-//	                     framed stream and gossip listeners (mutual TLS): a
+//	                     framed -stream and -gossip addresses (mutual TLS): a
 //	                     peer that cannot present a certificate chained to
 //	                     this CA never reaches the frame decoder
 //	-admin-token         bearer token on the mutating admin endpoints
@@ -136,7 +140,7 @@
 // controller's state (pressure EWMA, last decision and reason, cooldown,
 // resize count) under "autoscale".
 //
-// The -stream listener speaks the framed bidirectional protocol of
+// The framed handler speaks the bidirectional protocol of
 // internal/netgossip (and the public client package): a single persistent
 // TCP connection pushes id batches up and receives σ′ stream frames,
 // sample responses and pong keepalives down — the paper's stream-in/
@@ -224,7 +228,6 @@ import (
 	"nodesampling/internal/cluster"
 	"nodesampling/internal/core"
 	"nodesampling/internal/netgossip"
-	"nodesampling/internal/rng"
 	"nodesampling/internal/shard"
 	"nodesampling/internal/spans"
 	"nodesampling/internal/telemetry"
@@ -246,7 +249,6 @@ type options struct {
 	buffer           int
 	block            bool
 	seed             uint64
-	self             uint64
 	snapshotPath     string
 	snapshotInterval time.Duration
 
@@ -300,13 +302,12 @@ type options struct {
 	autoscaleInterval time.Duration // 0 defaults to 1s
 }
 
-// daemon ties the sharded pool to its gossip and stream front-ends. The
+// daemon ties the sharded pool to its framed and HTTP front-ends. The
 // HTTP layer is a plain handler over it, so tests can drive a live listener
 // via httptest.
 type daemon struct {
 	pool   *shard.Pool
-	peer   *netgossip.Peer
-	stream *streamServer // nil until listenStream
+	stream *streamServer // serves no listener until listenStream/serveStream
 	ctrl   *autoscale.Controller
 	start  time.Time
 
@@ -518,26 +519,11 @@ func newDaemon(o options) (*daemon, error) {
 		tracer:        spans.New(o.traceSample, traceRingSize),
 		pprofEnabled:  o.pprof,
 	}
-	peer, err := netgossip.NewPeer(netgossip.Config{
-		Self:   o.self,
-		Sink:   ingestTap{Pool: pool, d: d},
-		Fanout: 1,
-		Seed:   o.seed + 1,
-		// The exact per-id histogram is unbounded state an attacker could
-		// grow with distinct Sybil ids; the daemon exposes bounded shard
-		// stats instead.
-		DisableInputStats: true,
-	})
-	if err != nil {
-		_ = pool.Close()
-		return nil, err
-	}
-	d.peer = peer
+	d.stream = &streamServer{d: d, conns: make(map[net.Conn]struct{}), resumes: make(map[uint64]resumeEntry)}
 	if len(o.clusterMembers) > 0 {
 		var clTLS *tls.Config
 		if o.clusterCA != "" {
 			if clTLS, err = loadClusterTLS(o.clusterCA, o.tlsCert, o.tlsKey); err != nil {
-				_ = peer.Close()
 				_ = pool.Close()
 				return nil, err
 			}
@@ -553,7 +539,6 @@ func newDaemon(o options) (*daemon, error) {
 			Fallback: func(ids []uint64) { _ = d.ingest(ids, "forward") },
 		})
 		if err != nil {
-			_ = peer.Close()
 			_ = pool.Close()
 			return nil, err
 		}
@@ -583,7 +568,6 @@ func newDaemon(o options) (*daemon, error) {
 		Enabled:  o.autoscale,
 	})
 	if err != nil {
-		_ = peer.Close()
 		_ = pool.Close()
 		return nil, err
 	}
@@ -914,10 +898,7 @@ func (d *daemon) Close() {
 		<-d.snapDone
 		d.snapStop = nil
 	}
-	if d.stream != nil {
-		d.stream.Close()
-	}
-	_ = d.peer.Close()
+	d.stream.Close()
 	if d.cluster != nil {
 		// After the ingest fronts: queued forwards drain into local ingest,
 		// so the final snapshot still captures them.
@@ -1333,7 +1314,6 @@ func (d *daemon) handleStats(w http.ResponseWriter, r *http.Request) {
 		"dropped":                   st.Dropped,
 		"emit_dropped":              st.EmitDropped,
 		"throughput_ids_per_second": throughput,
-		"gossip_connections":        d.peer.NumConns(),
 		"stream_connections":        d.streamConns(),
 		"shard_count":               len(shards),
 		"strategy":                  d.pool.Strategy(),
@@ -1363,9 +1343,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	var (
 		httpAddr   = fs.String("http", "127.0.0.1:8080", "HTTP listen address")
 		streamAddr = fs.String("stream", "", "framed stream TCP listen address (empty disables)")
-		gossipAddr = fs.String("gossip", "", "netgossip TCP listen address (empty disables)")
-		connect    = fs.String("connect", "", "comma-separated netgossip peers to dial")
-		self       = fs.Uint64("self", 0, "this node's identifier (0 derives one from the seed)")
+		gossipAddr = fs.String("gossip", "", "extra listen address of the framed stream handler, for gossip peers (empty disables)")
+		connect    = fs.String("connect", "", "comma-separated gossip peers to dial; each connection is served by the framed stream handler")
 		shards     = fs.Int("shards", 8, "sampler shards")
 		c          = fs.Int("c", 25, "sampling memory size per shard")
 		k          = fs.Int("k", 50, "sketch columns per shard")
@@ -1422,9 +1401,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *seed == 0 {
 		*seed = uint64(time.Now().UnixNano())
 	}
-	if *self == 0 {
-		*self = rng.Mix64(*seed)
-	}
 	if *snapEvery < 0 {
 		return fmt.Errorf("negative -snapshot-interval %v", *snapEvery)
 	}
@@ -1444,7 +1420,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	d, err := newDaemon(options{
 		shards: *shards, c: *c, k: *k, s: *s,
 		strategy: *strategy,
-		buffer:   *buffer, block: *block, seed: *seed, self: *self,
+		buffer:   *buffer, block: *block, seed: *seed,
 		snapshotPath: *snapPath, snapshotInterval: *snapEvery,
 		autoscale: *autoOn, minShards: *minSh, maxShards: *maxSh,
 		autoscaleInterval: *autoEvery,
@@ -1496,34 +1472,24 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		d.startSnapshotLoop(*snapEvery)
 	}
 
-	if *streamAddr != "" {
-		ln, err := d.listenStream(*streamAddr)
+	// -stream and -gossip are two addresses of the one framed handler.
+	for _, l := range []struct{ plane, addr string }{{"stream", *streamAddr}, {"gossip", *gossipAddr}} {
+		if l.addr == "" {
+			continue
+		}
+		ln, err := d.listenStream(l.addr)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "stream listening on %s\n", ln.Addr())
-	}
-	if *gossipAddr != "" {
-		// The gossip listener (framed PushBatch exchange between peers) rides
-		// the same TLS plane as the stream listener (certificate and, under
-		// -tls-client-ca, mutual-TLS client verification): no listener trusts
-		// its network.
-		ln, err := net.Listen("tcp", *gossipAddr)
-		if err != nil {
-			return err
-		}
-		if d.tlsStream != nil {
-			ln = tls.NewListener(ln, d.tlsStream)
-		}
-		d.peer.Serve(ln)
-		defer ln.Close()
-		fmt.Fprintf(w, "gossip listening on %s\n", ln.Addr())
+		fmt.Fprintf(w, "%s listening on %s\n", l.plane, ln.Addr())
 	}
 	for _, addr := range strings.Split(*connect, ",") {
 		if addr = strings.TrimSpace(addr); addr != "" {
-			if err := d.peer.Connect(addr); err != nil {
-				return err
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return fmt.Errorf("connect %s: %w", addr, err)
 			}
+			d.stream.admit(conn)
 			fmt.Fprintf(w, "gossip connected to %s\n", addr)
 		}
 	}

@@ -29,7 +29,7 @@ func testDaemon(t *testing.T, o options) *daemon {
 }
 
 func defaultOptions() options {
-	return options{shards: 4, c: 10, k: 10, s: 5, buffer: 16, block: true, seed: 1, self: 99}
+	return options{shards: 4, c: 10, k: 10, s: 5, buffer: 16, block: true, seed: 1}
 }
 
 func postPush(t *testing.T, url string, ids []uint64) *http.Response {
@@ -160,7 +160,6 @@ func TestPushSampleMemoryStats(t *testing.T) {
 		Processed  uint64  `json:"processed"`
 		Dropped    uint64  `json:"dropped"`
 		Throughput float64 `json:"throughput_ids_per_second"`
-		Conns      int     `json:"gossip_connections"`
 		Shards     []struct {
 			Processed  uint64 `json:"processed"`
 			Dropped    uint64 `json:"dropped"`
@@ -302,15 +301,14 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestGossipFeedsDaemon drives the other ingestion path: a netgossip peer
-// dials the daemon's TCP listener and gossips; the ids must become visible
-// through the HTTP surface.
+// dials the daemon's framed listener and gossips; the ids must become
+// visible through the HTTP surface.
 func TestGossipFeedsDaemon(t *testing.T) {
 	d := testDaemon(t, defaultOptions())
-	ln, err := d.peer.Listen("127.0.0.1:0")
+	ln, err := d.listenStream("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	ts := httptest.NewServer(d.handler())
 	defer ts.Close()
 
@@ -335,7 +333,7 @@ func TestGossipFeedsDaemon(t *testing.T) {
 
 	var stats struct {
 		Processed uint64 `json:"processed"`
-		Conns     int    `json:"gossip_connections"`
+		Conns     int    `json:"stream_connections"`
 	}
 	waitFor(t, "gossiped ids to reach the pool", func() bool {
 		getJSON(t, ts.URL+"/stats", &stats)

@@ -48,11 +48,14 @@ const (
 	streamSubscribedIdleTimeout = 15 * time.Minute
 )
 
-// streamServer serves the framed bidirectional protocol (version 2) on a
-// TCP listener: persistent connections that push id batches up and carry
-// the pool's output stream σ′, sample responses and keepalives down. It is
-// the subscription-shaped surface the HTTP endpoints cannot offer — one
-// connection instead of a poll loop per sample.
+// streamServer serves the framed bidirectional protocol (version 2):
+// persistent connections that push id batches up and carry the pool's
+// output stream σ′, sample responses and keepalives down. It is the
+// subscription-shaped surface the HTTP endpoints cannot offer — one
+// connection instead of a poll loop per sample — and the daemon's only
+// framed handler: the -stream and -gossip listeners and the -connect
+// dialled gossip connections all run through it, under one TLS plane, one
+// connection cap and one set of idle deadlines.
 type streamServer struct {
 	d *daemon
 
@@ -65,7 +68,7 @@ type streamServer struct {
 	frameErrors atomic.Uint64
 
 	mu     sync.Mutex
-	ln     net.Listener
+	lns    []net.Listener
 	conns  map[net.Conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
@@ -155,56 +158,65 @@ func (d *daemon) serveStream(ln net.Listener) net.Listener {
 	if d.tlsStream != nil {
 		ln = tls.NewListener(ln, d.tlsStream)
 	}
-	s := &streamServer{d: d, ln: ln, conns: make(map[net.Conn]struct{}), resumes: make(map[uint64]resumeEntry)}
-	d.stream = s
+	s := d.stream
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = ln.Close()
+		return ln
+	}
+	s.lns = append(s.lns, ln)
 	s.wg.Add(1)
-	go s.acceptLoop()
+	s.mu.Unlock()
+	go s.acceptLoop(ln)
 	return ln
 }
 
-// streamConns reports the number of live framed connections (0 when the
-// stream listener is disabled).
+// streamConns reports the number of live framed connections.
 func (d *daemon) streamConns() int {
-	if d.stream == nil {
-		return 0
-	}
 	d.stream.mu.Lock()
 	defer d.stream.mu.Unlock()
 	return len(d.stream.conns)
 }
 
-func (s *streamServer) acceptLoop() {
+func (s *streamServer) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		if len(s.conns) >= maxStreamConns {
-			s.mu.Unlock()
-			s.rejected.Add(1)
-			s.d.logger.Warn("stream connection rejected",
-				"remote", conn.RemoteAddr().String(), "reason", "connection limit",
-				"limit", maxStreamConns)
-			_ = conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		s.accepted.Add(1)
-		s.d.logger.Debug("stream connection accepted", "remote", conn.RemoteAddr().String())
-		go s.handle(conn)
+		s.admit(conn)
 	}
 }
 
-// Close stops the listener and every live connection, then joins all
+// admit serves one framed connection, accepted or dialled, unless the
+// server is closed or at its connection limit.
+func (s *streamServer) admit(conn net.Conn) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = conn.Close()
+		return
+	}
+	if len(s.conns) >= maxStreamConns {
+		s.mu.Unlock()
+		s.rejected.Add(1)
+		s.d.logger.Warn("stream connection rejected",
+			"remote", conn.RemoteAddr().String(), "reason", "connection limit",
+			"limit", maxStreamConns)
+		_ = conn.Close()
+		return
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	s.accepted.Add(1)
+	s.d.logger.Debug("stream connection accepted", "remote", conn.RemoteAddr().String())
+	go s.handle(conn)
+}
+
+// Close stops every listener and live connection, then joins all
 // connection goroutines. Idempotent.
 func (s *streamServer) Close() {
 	s.mu.Lock()
@@ -218,7 +230,9 @@ func (s *streamServer) Close() {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	_ = s.ln.Close()
+	for _, ln := range s.lns {
+		_ = ln.Close()
+	}
 	for _, c := range conns {
 		_ = c.Close()
 	}

@@ -15,29 +15,17 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"nodesampling/internal/shard"
 	"nodesampling/internal/spans"
 	"nodesampling/internal/telemetry"
 )
 
-// ingestTap is the netgossip sink: the daemon's unified ingest funnel,
-// labelled with the gossip surface. Embedding the pool keeps the peer's
-// Sample/Memory pass-through (SampleSource) intact.
-type ingestTap struct {
-	*shard.Pool
-	d *daemon
-}
-
-func (t ingestTap) PushBatch(ids []uint64) error {
-	return t.d.ingestRouted(ids, "gossip")
-}
-
-// ingest is the one funnel every ingest front shares — HTTP POST /push, the
-// framed stream's PushBatch frames, and gossip batches. It offers the batch
-// to the uniformity gauge's input probe (drops included: an attacker's
-// flood is part of the input distribution), observes the wire-batch ingest
-// latency, and — one batch in -trace-sample — opens the root "ingest" span
-// under which the shard, emit and delivery spans hang.
+// ingest is the one funnel every ingest front shares — HTTP POST /push and
+// PushBatch frames on any framed connection (stream, gossip, cluster
+// forwards). It offers the batch to the uniformity gauge's input probe
+// (drops included: an attacker's flood is part of the input distribution),
+// observes the wire-batch ingest latency, and — one batch in -trace-sample
+// — opens the root "ingest" span under which the shard, emit and delivery
+// spans hang.
 func (d *daemon) ingest(ids []uint64, surface string) error {
 	began := time.Now()
 	d.uniformity.In.Offer(ids)
@@ -98,13 +86,7 @@ func (d *daemon) newRegistry() *telemetry.Registry {
 // front-ends' connection accounting, admin-plane auth failures, and the
 // durability plane's snapshot outcomes.
 func (d *daemon) collectDaemon() []telemetry.Family {
-	var accepted, rejected, frameErrs, conns float64
-	if s := d.stream; s != nil {
-		accepted = float64(s.accepted.Load())
-		rejected = float64(s.rejected.Load())
-		frameErrs = float64(s.frameErrors.Load())
-		conns = float64(d.streamConns())
-	}
+	s := d.stream
 	return []telemetry.Family{
 		{
 			Name: "unsd_info",
@@ -118,21 +100,18 @@ func (d *daemon) collectDaemon() []telemetry.Family {
 		telemetry.G("unsd_uptime_seconds",
 			"Seconds since the daemon started.",
 			time.Since(d.start).Seconds()),
-		telemetry.G("unsd_gossip_connections",
-			"Live netgossip connections on the framed gossip listener.",
-			float64(d.peer.NumConns())),
 		telemetry.G("unsd_stream_connections",
-			"Live framed-protocol stream connections.",
-			conns),
+			"Live framed-protocol connections: -stream and -gossip listeners and -connect peers.",
+			float64(d.streamConns())),
 		telemetry.C("unsd_stream_accepted_total",
-			"Stream connections accepted since boot.",
-			accepted),
+			"Framed-protocol connections admitted since boot.",
+			float64(s.accepted.Load())),
 		telemetry.C("unsd_stream_rejected_total",
-			"Stream connections refused at the connection limit.",
-			rejected),
+			"Framed-protocol connections refused at the connection limit.",
+			float64(s.rejected.Load())),
 		telemetry.C("unsd_stream_frame_errors_total",
 			"Framed-protocol violations: undecodable frames, unexpected types, double subscribes.",
-			frameErrs),
+			float64(s.frameErrors.Load())),
 		telemetry.C("unsd_auth_failures_total",
 			"Requests rejected by the admin bearer-token gate (missing or wrong credential).",
 			float64(d.authFailures.Load())),

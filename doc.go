@@ -332,13 +332,18 @@
 // cannot absorb the traffic, and the unsd daemon (cmd/unsd) to serve a
 // Pool over the network: HTTP for request/response (plus POST /resize,
 // POST /snapshot and POST /autoscale admin endpoints for the elastic
-// plane), netgossip TCP for overlay ingest, and a framed bidirectional
-// stream protocol — push id batches up, receive σ′ down, one persistent
-// connection per consumer. With -snapshot-path the daemon restores its
-// pool at boot and persists it (fsync-durably) periodically and at
-// shutdown; with -autoscale it resizes itself from observed load. The client package (nodesampling/client)
-// speaks the stream protocol, optionally surviving daemon restarts with
-// automatic backoff-and-resubscribe:
+// plane) and one framed bidirectional stream handler — push id batches
+// up, receive σ′ down, one persistent connection per consumer. Overlay
+// gossip is the same stream of PushBatch frames, so -gossip is just one
+// more address of that handler. With -snapshot-path the daemon restores
+// its pool at boot and persists it (fsync-durably) periodically and at
+// shutdown; with -autoscale it resizes itself from observed load. The
+// client package (nodesampling/client) speaks the stream protocol,
+// optionally surviving daemon restarts with automatic
+// backoff-and-resubscribe; it and the cluster members' connections run on
+// the one framed-session implementation (internal/netgossip's Session):
+// TLS dial, jittered backoff with address rotation, and generation-tagged
+// request/response:
 //
 //	c, _ := client.DialWithOptions("127.0.0.1:7947", client.DialOptions{Reconnect: true})
 //	out, _ := c.SubscribeEvery(1024, 4) // every 4th σ′ draw

@@ -70,13 +70,6 @@ type Config struct {
 	Fallback func(ids []uint64)
 	// Logger receives connection lifecycle events; nil discards them.
 	Logger *slog.Logger
-	// ForwardQueue is each member connection's forward queue capacity in
-	// batches; 0 means 256.
-	ForwardQueue int
-	// DialTimeout bounds each dial attempt (0 = 5s); WriteTimeout bounds
-	// each frame write (0 = 10s).
-	DialTimeout  time.Duration
-	WriteTimeout time.Duration
 }
 
 // Table is one immutable epoch of cluster routing: the per-slot owner
@@ -148,18 +141,6 @@ func New(cfg Config) (*Cluster, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	queue := cfg.ForwardQueue
-	if queue <= 0 {
-		queue = 256
-	}
-	dialTimeout := cfg.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 5 * time.Second
-	}
-	writeTimeout := cfg.WriteTimeout
-	if writeTimeout <= 0 {
-		writeTimeout = 10 * time.Second
-	}
 
 	keys := make([]uint64, len(members))
 	for i, m := range members {
@@ -185,7 +166,7 @@ func New(cfg Config) (*Cluster, error) {
 		if i == self {
 			continue
 		}
-		c.conns[i] = newMemberConn(c, i, m, cfg.TLS, queue, dialTimeout, writeTimeout)
+		c.conns[i] = newMemberConn(c, m, cfg.TLS)
 	}
 	return c, nil
 }
@@ -209,14 +190,15 @@ func deriveSalt(seed uint64, members []string) uint64 {
 	return rng.Mix64(seed ^ h.Sum64())
 }
 
-// Start launches the per-member connection managers (dial, reconnect,
-// forward, read). Safe to call once; a cluster used only for routing
+// Start launches the per-member sessions (dial, reconnect, read) and
+// forward writers. Safe to call once; a cluster used only for routing
 // decisions (tests) may skip it.
 func (c *Cluster) Start() {
 	for _, mc := range c.conns {
 		if mc == nil {
 			continue
 		}
+		mc.s.Start(nil)
 		c.wg.Add(1)
 		go mc.run()
 	}
@@ -230,7 +212,7 @@ func (c *Cluster) Close() {
 		close(c.closing)
 		for _, mc := range c.conns {
 			if mc != nil {
-				mc.shutdown()
+				mc.s.Close()
 			}
 		}
 	})
@@ -462,13 +444,13 @@ func (c *Cluster) Stats() Stats {
 	for i, m := range c.members {
 		ms := MemberStats{Addr: m, Self: i == c.self, Slots: counts[i], Connected: i == c.self}
 		if mc := c.conns[i]; mc != nil {
-			ms.Connected = mc.connected.Load()
+			ms.Connected = mc.s.Connected()
 			ms.QueueDepth = len(mc.q)
 			ms.ForwardedBatches = mc.forwardedBatches.Load()
 			ms.ForwardedIDs = mc.forwardedIDs.Load()
 			ms.ForwardErrors = mc.forwardErrors.Load()
 			ms.FallbackIDs = mc.fallbackIDs.Load()
-			ms.DialFailures = mc.dialFailures.Load()
+			ms.DialFailures = mc.s.DialFailures()
 			ms.SampleRPCs = mc.sampleRPCs.Load()
 			ms.SampleErrors = mc.sampleErrors.Load()
 		}

@@ -2,87 +2,73 @@ package cluster
 
 import (
 	"crypto/tls"
-	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"nodesampling/internal/netgossip"
 )
 
-// ErrNotConnected is returned by member RPCs while the connection to that
-// member is down (the dial loop keeps retrying in the background).
-var ErrNotConnected = errors.New("cluster: member not connected")
+// Member connection tuning: the forward queue's capacity in batches, the
+// per-attempt dial bound, the per-frame write bound, and the redial
+// backoff range (the first retry comes within 50ms, so a fleet booting
+// together meshes quickly).
+const (
+	forwardQueue = 256
+	dialTimeout  = 5 * time.Second
+	writeTimeout = 10 * time.Second
+	minBackoff   = 50 * time.Millisecond
+	maxBackoff   = 2 * time.Second
+)
 
-// ErrRPCTimeout is returned by member RPCs whose response did not arrive in
-// time; the connection is recycled, since a late response would otherwise
-// be mistaken for the next exchange's answer.
-var ErrRPCTimeout = errors.New("cluster: rpc timed out")
-
-// rpcResp is one response frame (or terminal error) tagged with the
-// connection generation that produced it, the same stale-session defence
-// the client package uses across its reconnects.
-type rpcResp struct {
-	gen   uint64
-	typ   netgossip.FrameType
-	token uint64 // |Γ| for sample responses, epoch for migrate acks
-	ids   []uint64
-	err   error
-}
-
-// memberConn is the persistent framed connection to one remote member:
-// a dial/reconnect supervisor, a bounded forward queue drained by a writer
-// goroutine, a reader goroutine dispatching RPC responses, and the
-// single-outstanding RPC surface (sampleLocal, migrate) on top.
+// memberConn is the persistent framed connection to one remote member: a
+// netgossip.Session (dial, redial, generation-tagged RPC) plus a bounded
+// forward queue drained by a writer goroutine onto it, and the placement
+// updates the member announces back.
 type memberConn struct {
-	c            *Cluster
-	idx          int
-	addr         string
-	tls          *tls.Config
-	dialTimeout  time.Duration
-	writeTimeout time.Duration
+	c    *Cluster
+	addr string
+	s    *netgossip.Session
+	q    chan []uint64 // forward batches awaiting delivery
 
-	q       chan []uint64 // forward batches awaiting delivery
-	closing chan struct{}
-
-	mu   sync.Mutex // guards conn identity and serialises frame writes
-	conn net.Conn
-
-	// gen is bumped per established connection. It is only written under
-	// mc.mu, together with conn, so a holder of mc.mu always observes a
-	// consistent (conn, gen) pair; lock-free readers (dropConn's recheck)
-	// use the atomic load.
-	gen atomic.Uint64
-
-	// rpcMu admits one request/response exchange at a time (sample or
-	// migrate), so responses need no correlation ids on the wire.
-	rpcMu sync.Mutex
-	rpcc  chan rpcResp
-
-	connected        atomic.Bool
 	forwardedBatches atomic.Uint64
 	forwardedIDs     atomic.Uint64
 	forwardErrors    atomic.Uint64
 	fallbackIDs      atomic.Uint64
-	dialFailures     atomic.Uint64
 	sampleRPCs       atomic.Uint64
 	sampleErrors     atomic.Uint64
 }
 
-func newMemberConn(c *Cluster, idx int, addr string, tlsCfg *tls.Config, queue int, dialTimeout, writeTimeout time.Duration) *memberConn {
-	return &memberConn{
-		c:            c,
-		idx:          idx,
-		addr:         addr,
-		tls:          tlsCfg,
-		dialTimeout:  dialTimeout,
-		writeTimeout: writeTimeout,
-		q:            make(chan []uint64, queue),
-		closing:      make(chan struct{}),
-		rpcc:         make(chan rpcResp, 1),
+func newMemberConn(c *Cluster, addr string, tlsCfg *tls.Config) *memberConn {
+	mc := &memberConn{c: c, addr: addr, q: make(chan []uint64, forwardQueue)}
+	mc.s = netgossip.NewSession(netgossip.SessionConfig{
+		Addrs:        []string{addr},
+		TLS:          tlsCfg,
+		DialTimeout:  dialTimeout,
+		WriteTimeout: writeTimeout,
+		MinBackoff:   minBackoff,
+		MaxBackoff:   maxBackoff,
+		OnConnect: func() error {
+			c.logger.Info("cluster member connected", "member", addr)
+			return nil
+		},
+		OnFrame: mc.onFrame,
+		OnDisconnect: func(err error) {
+			c.logger.Warn("cluster member disconnected", "member", addr, "error", err)
+		},
+	})
+	return mc
+}
+
+// onFrame applies the placement updates a member announces; anything else
+// that is not an RPC response is a protocol breach that recycles the
+// connection.
+func (mc *memberConn) onFrame(f netgossip.Frame) error {
+	if f.Type != netgossip.FramePlacementUpdate {
+		return fmt.Errorf("unexpected frame type %d", f.Type)
 	}
+	mc.c.ApplyPlacement(f.Token, int(f.SlotFrom), int(f.SlotTo), int(f.Owner))
+	return nil
 }
 
 // forward enqueues a batch (taking ownership of the slice); a full queue
@@ -97,246 +83,40 @@ func (mc *memberConn) forward(ids []uint64) {
 	}
 }
 
-// shutdown unblocks run and both per-connection goroutines.
-func (mc *memberConn) shutdown() {
-	close(mc.closing)
-	mc.mu.Lock()
-	if mc.conn != nil {
-		_ = mc.conn.Close()
-	}
-	mc.mu.Unlock()
-}
-
-// run is the connection supervisor: dial with bounded backoff, run one
-// connection's writer and reader until it fails, repeat until shutdown. On
-// exit it drains the forward queue into the fallback sink so enqueued
-// batches are ingested locally rather than dropped.
+// run drains the forward queue onto the session until the cluster closes,
+// tagging every Forward frame with the current placement epoch so the
+// receiver can spot a stale routing decision. A batch that cannot be
+// written (member down, write failed) goes to the fallback sink, and so
+// does whatever is still queued at shutdown: the cluster layer never
+// loses ids.
 func (mc *memberConn) run() {
 	defer mc.c.wg.Done()
 	defer mc.drainToFallback()
-	backoff := 50 * time.Millisecond
-	const maxBackoff = 2 * time.Second
-	for {
-		select {
-		case <-mc.closing:
-			return
-		default:
-		}
-		conn, err := mc.dial()
-		if err != nil {
-			mc.dialFailures.Add(1)
-			select {
-			case <-time.After(backoff):
-			case <-mc.closing:
-				return
-			}
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			continue
-		}
-		backoff = 50 * time.Millisecond
-		mc.mu.Lock()
-		select {
-		case <-mc.closing:
-			mc.mu.Unlock()
-			_ = conn.Close()
-			return
-		default:
-		}
-		mc.conn = conn
-		gen := mc.gen.Add(1)
-		mc.mu.Unlock()
-		mc.connected.Store(true)
-		mc.c.logger.Info("cluster member connected", "member", mc.addr)
-
-		dead := make(chan struct{}) // closed by the reader when the connection fails
-		readerDone := make(chan struct{})
-		go mc.readLoop(conn, gen, dead, readerDone)
-		mc.writeLoop(conn, dead)
-
-		mc.connected.Store(false)
-		mc.mu.Lock()
-		mc.conn = nil
-		mc.mu.Unlock()
-		_ = conn.Close()
-		<-readerDone
-		mc.c.logger.Warn("cluster member disconnected", "member", mc.addr)
-	}
-}
-
-func (mc *memberConn) dial() (net.Conn, error) {
-	conn, err := (&net.Dialer{Timeout: mc.dialTimeout}).Dial("tcp", mc.addr)
-	if err != nil {
-		return nil, err
-	}
-	if mc.tls == nil {
-		return conn, nil
-	}
-	cfg := mc.tls
-	if cfg.ServerName == "" {
-		if host, _, herr := net.SplitHostPort(mc.addr); herr == nil {
-			cfg = cfg.Clone()
-			cfg.ServerName = host
-		}
-	}
-	tconn := tls.Client(conn, cfg)
-	_ = tconn.SetDeadline(time.Now().Add(mc.dialTimeout))
-	if err := tconn.Handshake(); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("tls handshake: %w", err)
-	}
-	_ = tconn.SetDeadline(time.Time{})
-	return tconn, nil
-}
-
-// writeLoop drains the forward queue onto conn, tagging every Forward
-// frame with the current placement epoch so the receiver can spot a stale
-// routing decision. A failed write hands the batch to the fallback sink
-// and recycles the connection.
-func (mc *memberConn) writeLoop(conn net.Conn, dead chan struct{}) {
 	for {
 		select {
 		case ids := <-mc.q:
-			if _, err := mc.writeFrame(netgossip.Frame{Type: netgossip.FrameForward, Token: mc.c.Epoch(), IDs: ids}); err != nil {
+			if err := mc.s.Write(netgossip.Frame{Type: netgossip.FrameForward, Token: mc.c.Epoch(), IDs: ids}); err != nil {
 				mc.forwardErrors.Add(1)
 				mc.fallbackIDs.Add(uint64(len(ids)))
 				mc.c.fallback(ids)
-				return
+				continue
 			}
 			mc.forwardedBatches.Add(1)
 			mc.forwardedIDs.Add(uint64(len(ids)))
-		case <-dead:
-			return
-		case <-mc.closing:
+		case <-mc.c.closing:
 			return
 		}
 	}
 }
 
-// readLoop dispatches inbound frames until the connection fails: RPC
-// responses to the single-slot rpc channel (tagged with the connection
-// generation), placement updates to the routing table, pongs ignored.
-func (mc *memberConn) readLoop(conn net.Conn, gen uint64, dead, done chan struct{}) {
-	defer close(done)
-	defer close(dead)
-	fr := netgossip.NewFrameReader(conn)
-	for {
-		f, err := fr.Read()
-		if err != nil {
-			return
-		}
-		switch f.Type {
-		case netgossip.FrameSampleLocalResp:
-			// IDs alias the reader's buffer; copy before handing off.
-			mc.deliver(rpcResp{gen: gen, typ: f.Type, token: f.Token, ids: append([]uint64(nil), f.IDs...)})
-		case netgossip.FrameMigrateAck:
-			mc.deliver(rpcResp{gen: gen, typ: f.Type, token: f.Token})
-		case netgossip.FramePlacementUpdate:
-			mc.c.ApplyPlacement(f.Token, int(f.SlotFrom), int(f.SlotTo), int(f.Owner))
-		case netgossip.FramePong:
-		case netgossip.FrameError:
-			mc.deliver(rpcResp{gen: gen, err: fmt.Errorf("cluster: member %s: %s", mc.addr, f.Msg)})
-			mc.c.logger.Warn("cluster member error frame", "member", mc.addr, "msg", f.Msg)
-			return
-		default:
-			mc.c.logger.Warn("cluster member sent unexpected frame", "member", mc.addr, "type", int(f.Type))
-			return
-		}
-	}
-}
-
-// deliver hands a response to the single-slot rpc channel, evicting a
-// buffered stale one: with rpcMu admitting one exchange at a time, anything
-// already buffered belongs to an abandoned or previous-session request.
-func (mc *memberConn) deliver(r rpcResp) {
-	select {
-	case mc.rpcc <- r:
-		return
-	default:
-	}
-	select {
-	case <-mc.rpcc:
-	default:
-	}
-	select {
-	case mc.rpcc <- r:
-	default:
-	}
-}
-
-// writeFrame sends one frame under the connection lock with a write
-// deadline, so a wedged member cannot pin the writer (or an RPC) forever.
-// It returns the generation of the connection the frame was written to —
-// conn and gen are read together under mc.mu, so an RPC can match its
-// response against the connection that actually carried the request even
-// when a reconnect lands mid-call.
-func (mc *memberConn) writeFrame(f netgossip.Frame) (uint64, error) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	conn := mc.conn
-	if conn == nil {
-		return 0, ErrNotConnected
-	}
-	gen := mc.gen.Load()
-	_ = conn.SetWriteDeadline(time.Now().Add(mc.writeTimeout))
-	err := netgossip.WriteFrame(conn, f)
-	_ = conn.SetWriteDeadline(time.Time{})
-	return gen, err
-}
-
-// rpc runs one request/response exchange: write req, wait for a response
-// of type want from the same connection generation. A timeout recycles the
-// connection (a late response must not answer the next request).
-func (mc *memberConn) rpc(req netgossip.Frame, want netgossip.FrameType, timeout time.Duration) (rpcResp, error) {
-	mc.rpcMu.Lock()
-	defer mc.rpcMu.Unlock()
-	if !mc.connected.Load() {
-		return rpcResp{}, ErrNotConnected
-	}
-	select { // clear any abandoned predecessor response
-	case <-mc.rpcc:
-	default:
-	}
-	gen, err := mc.writeFrame(req)
+// rpc runs one request/response exchange on the session, naming the
+// member in any failure.
+func (mc *memberConn) rpc(req netgossip.Frame, want netgossip.FrameType, timeout time.Duration) (netgossip.Frame, error) {
+	resp, err := mc.s.Call(req, want, timeout)
 	if err != nil {
-		return rpcResp{}, err
+		return netgossip.Frame{}, fmt.Errorf("cluster: member %s: %w", mc.addr, err)
 	}
-	deadline := time.After(timeout)
-	for {
-		select {
-		case r := <-mc.rpcc:
-			if r.gen != gen {
-				continue // buffered response from a dead connection
-			}
-			if r.err != nil {
-				return rpcResp{}, r.err
-			}
-			if r.typ != want {
-				return rpcResp{}, fmt.Errorf("cluster: member %s answered frame type %d, want %d", mc.addr, r.typ, want)
-			}
-			return r, nil
-		case <-deadline:
-			mc.dropConn(gen)
-			return rpcResp{}, fmt.Errorf("%w: member %s", ErrRPCTimeout, mc.addr)
-		case <-mc.closing:
-			return rpcResp{}, ErrNotConnected
-		}
-	}
-}
-
-// dropConn closes the current connection if it is still the one the failed
-// exchange was written to, forcing a reconnect without penalising a
-// healthy successor.
-func (mc *memberConn) dropConn(gen uint64) {
-	mc.mu.Lock()
-	conn := mc.conn
-	current := mc.gen.Load() == gen
-	mc.mu.Unlock()
-	if current && conn != nil {
-		_ = conn.Close()
-	}
+	return resp, nil
 }
 
 // sampleLocal asks the member for n uniform draws from its own pool along
@@ -348,7 +128,7 @@ func (mc *memberConn) sampleLocal(n int, timeout time.Duration) (gamma uint64, i
 		mc.sampleErrors.Add(1)
 		return 0, nil, err
 	}
-	return r.token, r.ids, nil
+	return r.Token, r.IDs, nil
 }
 
 // migrate transfers a migration blob and waits for the ack carrying the
@@ -358,14 +138,14 @@ func (mc *memberConn) migrate(blob []byte, timeout time.Duration) (uint64, error
 	if err != nil {
 		return 0, err
 	}
-	return r.token, nil
+	return r.Token, nil
 }
 
-// sendPlacement enqueues a placement announcement on the connection,
+// sendPlacement announces a placement change on the connection,
 // best-effort: a down member misses it and catches up via stale-forward
 // epochs.
 func (mc *memberConn) sendPlacement(epoch uint64, from, to, owner int) {
-	_, _ = mc.writeFrame(netgossip.Frame{
+	_ = mc.s.Write(netgossip.Frame{
 		Type:     netgossip.FramePlacementUpdate,
 		Token:    epoch,
 		SlotFrom: uint32(from),
@@ -374,8 +154,7 @@ func (mc *memberConn) sendPlacement(epoch uint64, from, to, owner int) {
 	})
 }
 
-// drainToFallback hands every still-queued forward batch to local ingest
-// on shutdown or terminal disconnect — the cluster layer never loses ids.
+// drainToFallback hands every still-queued forward batch to local ingest.
 func (mc *memberConn) drainToFallback() {
 	for {
 		select {

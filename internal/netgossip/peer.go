@@ -158,8 +158,7 @@ func (p *Peer) readLoop(conn net.Conn) {
 		if err != nil {
 			if errors.Is(err, errLegacyMagic) {
 				_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-				_ = WriteFrame(conn, Frame{Type: FrameError,
-					Msg: "v1 batch protocol retired: speak the framed protocol (version 2)"})
+				_ = WriteFrame(conn, Frame{Type: FrameError, Msg: err.Error()})
 			}
 			p.dropConn(conn)
 			return

@@ -15,6 +15,13 @@
 // connections; the one-way v1 batch protocol (magic 0x75) is retired, and
 // a client still speaking it gets a FrameError naming the replacement
 // before the connection drops.
+//
+// Session (session.go) is the one implementation of the dialling side of a
+// framed connection: TLS dial, jittered-backoff redial with address
+// rotation, and generation-tagged single-outstanding RPC. The public client
+// package and the cluster member connections are thin callers of it. The
+// unsd daemon serves gossip peers on its framed stream handler (-gossip is
+// one more address of it); Peer remains the overlay node of the examples.
 package netgossip
 
 import "errors"
