@@ -63,8 +63,8 @@ var perfSuite = []struct {
 	{"PoolSubscribeFanout/subs=4", "ns/id", func(b *testing.B) { perfPoolFanout(b, 4) }},
 	{"PoolSubscribeFanout/subs=16", "ns/id", func(b *testing.B) { perfPoolFanout(b, 16) }},
 	{"ControllerTick", "ns/op", perfControllerTick},
-	{"SketchAddEstimate/fused", "ns/op", func(b *testing.B) { perfSketchAdd(b, false) }},
-	{"SketchAddEstimate/reference", "ns/op", func(b *testing.B) { perfSketchAdd(b, true) }},
+	{"SketchAddEstimate/fused", "ns/op", perfSketchAdd},
+	{"KnowledgeFreeBatch/daemon-shape", "ns/id", perfKnowledgeFreeDaemonShape},
 	{"Partition/pooled", "ns/id", func(b *testing.B) { perfPartition(b, true) }},
 	{"Partition/alloc", "ns/id", func(b *testing.B) { perfPartition(b, false) }},
 	{"ShardQueue/ring", "ns/op", func(b *testing.B) { perfQueue(b, true) }},
@@ -75,25 +75,46 @@ var perfSuite = []struct {
 // perfSink defeats dead-code elimination of the shim benchmarks' results.
 var perfSink uint64
 
-// perfSketchAdd measures the fused Count-Min update (one premix + bulk
-// column pass) against the retained per-row reference path it replaced.
-func perfSketchAdd(b *testing.B, reference bool) {
+// perfSketchAdd measures the fused single-id Count-Min update: one premix,
+// then one single-fold linear step and bucket map per row.
+func perfSketchAdd(b *testing.B) {
 	sk, err := cms.NewWithDimensions(1024, 5, rng.New(7))
 	if err != nil {
 		b.Fatal(err)
 	}
 	var s uint64
 	b.ResetTimer()
-	if reference {
-		for i := 0; i < b.N; i++ {
-			s += sk.AddEstimateReference(uint64(i) & 4095)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			s += sk.AddEstimate(uint64(i) & 4095)
-		}
+	for i := 0; i < b.N; i++ {
+		s += sk.AddEstimate(uint64(i) & 4095)
 	}
 	perfSink += s
+}
+
+// perfKnowledgeFreeDaemonShape mirrors internal/core's
+// BenchmarkKnowledgeFreeDaemonShape: the knowledge-free ingest kernel at
+// unsd's default shape (c=25, a 50-column × 10-row sketch) over a stream
+// in which every other id is one victim and the rest are drawn from 16384
+// honest ids, fed in 256-id batches — a shard worker's sub-batch of a
+// 1024-id frame over four shards. b.N counts ids, so ns/op is ns/id.
+func perfKnowledgeFreeDaemonShape(b *testing.B) {
+	kf, err := core.NewKnowledgeFree(25, 50, 10, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(8)
+	stream := make([]uint64, 1<<16)
+	for i := range stream {
+		stream[i] = 1 + r.Uint64n(1<<14)
+		if i%2 == 0 {
+			stream[i] = 0
+		}
+	}
+	const batch = 256
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batch {
+		off := i % len(stream)
+		kf.ProcessBatch(stream[off : off+batch])
+	}
 }
 
 // perfPartition measures the PushBatch counting-sort partition pass — b.N

@@ -180,40 +180,71 @@
 //
 // # Hot path anatomy
 //
-// Batch ingest is engineered to a nanosecond budget; the numbers below are
-// from the single-CPU reference container (BENCH_10.json, ns per id,
-// single-shard PushBatch ≈ 52 ns/id, 0 allocs/op steady state):
+// Ingest is engineered to a nanosecond budget, priced where a client sees
+// it. The wire benchmark (wirebench/, run as BENCHMARK.json declares)
+// pushes framed batches into a real unsd at its default shape — four
+// shards, c = 25, a 50-column × 10-row sketch — and reports the daemon CPU
+// spent per offered id, end to end and per stage. On its ingest-saturate
+// workload (two connections pushing 1024-id batches unpaced, each id the
+// victim with probability ½ and otherwise one of 65536 honest ids, 2-vCPU
+// host), before and after the fused ingest kernel (end-to-end row: medians
+// of ten alternating runs; stage rows: two traced runs each):
 //
-//   - Partition (~1–2 ns): a counting-sort pass groups the batch by
-//     destination shard — two linear sweeps, no comparisons — into a pooled
-//     payload buffer; the scratch tables come from a sync.Pool, so a
-//     steady-state batch allocates nothing.
-//   - Queue hand-off (~0 ns amortised): each shard's sub-batch is one
-//     enqueue on a bounded MPSC ring (a Vyukov queue: one CAS per producer,
-//     plain loads and stores for the single consumer), amortised over the
-//     whole sub-batch. The payload is reference-counted and returned to its
-//     pool by the last shard worker to finish with it.
-//   - Sketch update (~37 ns): the dominant term. One fused Columns pass
-//     premixes the id once and computes all s row columns — a Carter-Wegman
-//     multiply mod 2⁶¹−1 plus a Lemire fastrange reduction per row — then
-//     the add loop increments one counter per row of the flat row-major
-//     matrix (~24 ns hashing, ~7 ns counter loop, ~6 ns amortised global-
-//     minimum rescan, which the admission probability minσ/f̂ consults per
-//     id and so must stay eagerly maintained).
-//   - Admission (~14 ns): the Algorithm 3 step — a Γ membership scan
-//     (~5 ns at c=10) and one PRNG draw for the Bernoulli admit/evict
-//     decision (~8 ns).
+//	stage (ns per id)                         before   after
+//	frame decode (netgossip)                     3.8     3.4
+//	uniformity probe, two connections           21.9     8.3
+//	shard partition + ring hand-off              8.1     8.0
+//	sketch + admission (core, batched)         125      96
+//	sketch alone, one id per call (cms)        101      68
+//	unattributed remainder                      70      19
+//	end to end (cpu_ns_per_id)                 230     136
 //
-// What is left is arithmetic the algorithm requires per id, not overhead:
-// s modular multiplications and one random draw. One further fusion was
-// measured and rejected — sharing a single splitmix64 premix between the
-// partition map and the sketch hashes saves under 2 ns but the two
-// deliberately mix different inputs (the partition premixes id⊕salt so the
-// shard map stays unpredictable; the sketch premixes the raw id so blobs
-// restore bit-identically), so the saving would cost a partition-map
+// Throughput on the same workload went from 7.4M to 12.0M ids/s.
+//
+//   - Frame decode: a FrameReader per connection reuses its payload and id
+//     buffers across frames.
+//   - Uniformity probe: Offer runs the hashed 1-in-8 gate and one ring
+//     store per kept id under one lock per batch; the histogram is counted
+//     from the ring at scrape time. Before, Offer also maintained an
+//     incremental count map, which cost more than the rest of the funnel.
+//   - Partition and hand-off: a counting-sort pass groups the batch by
+//     shard into a pooled, reference-counted payload, and each shard's
+//     sub-batch is one enqueue on a bounded MPSC ring, so a steady-state
+//     batch allocates nothing.
+//   - Sketch and admission: the knowledge-free ingest kernel works on
+//     chunks of 256 ids. A sketch pass adds every id of the chunk in stream
+//     order and records its f̂_j and minσ: the id is premixed once, and each
+//     row costs one Carter–Wegman step reduced with a single Mersenne fold
+//     (a, u, b < 2⁶¹−1, so the product's high word is below 2⁵⁸), a Lemire
+//     fastrange bucket and one counter increment. The minimum's
+//     multiplicity is recounted only for ids whose estimate is the
+//     minimum, and once it reaches zero the new minimum is the old one plus
+//     one, found by a single count pass. An admission pass then replays the
+//     chunk in stream order: a Γ membership test behind a 256-entry
+//     counting tag filter (most non-members never reach the scan), the
+//     Bernoulli minσ/f̂_j draw and a uniform eviction. The split is exact —
+//     the sketch never reads Γ or the generator and admission never writes
+//     the sketch — so Γ, the counters, Stats and the σ′ draws are
+//     bit-identical to the one-id-at-a-time loop, as the kernel's
+//     equivalence tests pin. Process and both batch entry points share
+//     this one kernel.
+//   - Unattributed remainder: daemon CPU that no isolated stage row
+//     accounts for. It fell from about 70 to about 19 ns/id with the probe
+//     map and the kernel's memory traffic; what is left is not yet
+//     attributed.
+//
+// What is left in the kernel is arithmetic the algorithm requires per id:
+// s modular multiplications and one random draw. Two further changes were
+// measured and rejected. Loop fission — hashing the whole chunk before the
+// counter pass — measured no faster. Sharing a single splitmix64 premix
+// between the partition map and the sketch hashes saves under 2 ns, but the
+// two deliberately mix different inputs (the partition premixes id⊕salt so
+// the shard map stays unpredictable; the sketch premixes the raw id so
+// blobs restore bit-identically), so the saving would cost a partition-map
 // re-version that invalidates every restored snapshot's routing.
 //
-// The committed BENCH_<pr>.json artifacts pin this budget over time, and
+// The committed BENCH_<pr>.json artifacts pin the in-process rows over time
+// (the kernel's own row is KnowledgeFreeBatch/daemon-shape), and
 // `unsbench -perf-compare old.json new.json` turns any two of them into a
 // pass/fail regression verdict (CI gates on the previous PR's artifact).
 //

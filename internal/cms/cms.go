@@ -34,7 +34,7 @@ type Sketch struct {
 	total   uint64 // number of Add calls (stream length m)
 	gMin    uint64 // cached min over all counters
 	gMinCnt int    // how many counters currently equal gMin
-	scratch []int  // per-row column cache for the one-pass CM-CU update
+	scratch []int  // per-row counter indices for the one-pass CM-CU update
 }
 
 // New creates a sketch from the accuracy targets of Algorithm 2:
@@ -107,59 +107,64 @@ func (sk *Sketch) Add(id uint64) { sk.AddEstimate(id) }
 // AddEstimate records one occurrence of id and returns its updated estimate
 // f̂_id from the same hash pass: with plain Count-Min every one of id's
 // counters gains exactly one, so the post-add estimate is the minimum of
-// the incremented counters. Equivalent to Add followed by Estimate, minus
-// the second set of row hashes — the saving that makes batch ingestion
-// (KnowledgeFree.ProcessBatch) cheaper per id than the single-id path.
-// The row hashes come from one fused Columns pass (a single key premix
-// for all rows, no per-row division under fastrange); the per-row Hash
-// path survives as AddEstimateReference, pinned bit-identical by tests.
+// the incremented counters. It is AddEstimates over a one-id batch.
 func (sk *Sketch) AddEstimate(id uint64) uint64 {
-	sk.total++
-	sk.hashes.Columns(id, sk.scratch)
-	est := ^uint64(0)
-	gMin := sk.gMin
-	counts := sk.counts
-	base := 0
-	for row := 0; row < sk.rows; row++ {
-		idx := base + sk.scratch[row]
-		v := counts[idx] + 1
-		counts[idx] = v
-		if v-1 == gMin {
-			sk.gMinCnt--
-		}
-		if v < est {
-			est = v
-		}
-		base += sk.cols
-	}
-	if sk.gMinCnt == 0 {
-		sk.rescanMin()
-	}
-	return est
+	ids, est, mins := [1]uint64{id}, [1]uint64{}, [1]uint64{}
+	sk.AddEstimates(ids[:], est[:], mins[:])
+	return est[0]
 }
 
-// AddEstimateReference is AddEstimate over the per-row reference hash path
-// (Family.Hash instead of the fused Columns). It exists so property tests
-// and the perf suite can pin the fused path against it — the two must agree
-// bit-for-bit on every counter and estimate.
-func (sk *Sketch) AddEstimateReference(id uint64) uint64 {
-	sk.total++
-	est := ^uint64(0)
-	for row := 0; row < sk.rows; row++ {
-		idx := row*sk.cols + sk.hashes.Hash(row, id)
-		v := sk.counts[idx] + 1
-		sk.counts[idx] = v
-		if v-1 == sk.gMin {
-			sk.gMinCnt--
+// AddEstimates records one occurrence of every id in stream order and, for
+// the i-th id, writes its post-add estimate f̂ to est[i] and the post-add
+// global minimum minσ to mins[i] — exactly what AddEstimate and GlobalMin
+// would have returned had the ids been added one at a time. est and mins
+// must be at least len(ids) long.
+//
+// This is the sketch half of the sampler's sketch-then-admit kernel. Each
+// id is premixed once and the rows are walked on the premixed key directly
+// (one single-fold linear step and a bucket map per row); the counters, the
+// cached minimum and its multiplicity live in locals for the whole batch.
+// The multiplicity drops once per id by the number of rows that left the
+// minimum, counted only for the ids whose estimate shows they touched it.
+func (sk *Sketch) AddEstimates(ids, est, mins []uint64) {
+	est, mins = est[:len(ids)], mins[:len(ids)]
+	fns := sk.hashes.Members()
+	counts := sk.counts
+	cols := sk.cols
+	gMin, gMinCnt := sk.gMin, sk.gMinCnt
+	for i, id := range ids {
+		u := hashing.Premix(id)
+		e := ^uint64(0)
+		base := 0
+		for r := range fns {
+			idx := base + fns[r].Column(u)
+			v := counts[idx]
+			counts[idx] = v + 1
+			e = min(e, v)
+			base += cols
 		}
-		if v < est {
-			est = v
+		if e == gMin {
+			// Some of id's counters sat at the minimum: they are exactly
+			// the ones that now read gMin+1. Counting them in a second
+			// walk, only when the estimate shows there are any, keeps the
+			// count out of the walk every id pays for.
+			left := 0
+			base = 0
+			for r := range fns {
+				if counts[base+fns[r].Column(u)] == gMin+1 {
+					left++
+				}
+				base += cols
+			}
+			if gMinCnt -= left; gMinCnt == 0 {
+				gMin, gMinCnt = advanceMin(counts, gMin)
+			}
 		}
+		est[i] = e + 1
+		mins[i] = gMin
 	}
-	if sk.gMinCnt == 0 {
-		sk.rescanMin()
-	}
-	return est
+	sk.total += uint64(len(ids))
+	sk.gMin, sk.gMinCnt = gMin, gMinCnt
 }
 
 // AddConservative records one occurrence of id with the conservative-update
@@ -174,48 +179,86 @@ func (sk *Sketch) AddConservative(id uint64) { sk.AddConservativeEstimate(id) }
 
 // AddConservativeEstimate is AddConservative returning the updated estimate
 // f̂_id: the CM-CU rule lifts every counter of id to at least est+1, so the
-// post-update estimate is exactly est+1. One hash pass computes the columns
-// for both the estimate and the update.
+// post-update estimate is exactly est+1. It is AddConservativeEstimates
+// over a one-id batch.
 func (sk *Sketch) AddConservativeEstimate(id uint64) uint64 {
-	sk.total++
-	sk.hashes.Columns(id, sk.scratch)
-	est := ^uint64(0)
-	for row := 0; row < sk.rows; row++ {
-		if v := sk.counts[row*sk.cols+sk.scratch[row]]; v < est {
-			est = v
-		}
-	}
-	target := est + 1
-	for row := 0; row < sk.rows; row++ {
-		idx := row*sk.cols + sk.scratch[row]
-		v := sk.counts[idx]
-		if v >= target {
-			continue
-		}
-		sk.counts[idx] = target
-		if v == sk.gMin {
-			sk.gMinCnt--
-		}
-	}
-	if sk.gMinCnt == 0 {
-		sk.rescanMin()
-	}
-	return target
+	ids, est, mins := [1]uint64{id}, [1]uint64{}, [1]uint64{}
+	sk.AddConservativeEstimates(ids[:], est[:], mins[:])
+	return est[0]
 }
 
-// rescanMin recomputes the global minimum after all counters at the previous
-// minimum have been incremented. Counters only ever grow, so the new minimum
-// is at least the old one; a full scan is the simplest correct recovery and
-// it amortises: between rescans every one of the s·k counters at the minimum
-// must receive an increment.
+// AddConservativeEstimates is AddEstimates under the CM-CU rule: ids are
+// added in stream order and est[i], mins[i] receive the i-th id's post-update
+// estimate and global minimum. One hash pass per id computes the counter
+// indices for both the pre-update estimate and the update.
+func (sk *Sketch) AddConservativeEstimates(ids, est, mins []uint64) {
+	est, mins = est[:len(ids)], mins[:len(ids)]
+	fns := sk.hashes.Members()
+	counts := sk.counts
+	cols := sk.cols
+	idxs := sk.scratch[:len(fns)]
+	gMin, gMinCnt := sk.gMin, sk.gMinCnt
+	for i, id := range ids {
+		u := hashing.Premix(id)
+		e := ^uint64(0)
+		base := 0
+		for r := range fns {
+			idx := base + fns[r].Column(u)
+			idxs[r] = idx
+			e = min(e, counts[idx])
+			base += cols
+		}
+		target := e + 1
+		left := 0
+		for _, idx := range idxs {
+			v := counts[idx]
+			if v >= target {
+				continue
+			}
+			counts[idx] = target
+			if v == gMin {
+				left++
+			}
+		}
+		if gMinCnt -= left; gMinCnt == 0 {
+			gMin, gMinCnt = advanceMin(counts, gMin)
+		}
+		est[i] = target
+		mins[i] = gMin
+	}
+	sk.total += uint64(len(ids))
+	sk.gMin, sk.gMinCnt = gMin, gMinCnt
+}
+
+// advanceMin returns the new global minimum and its multiplicity once the
+// last counter at gMin has been raised, which is when the add kernels need
+// a new one. Counters never fall, and under both update rules a counter
+// leaving the minimum lands on exactly gMin+1 (CM-CU raises a minimum
+// counter only when the id's estimate is the minimum, and then to
+// estimate+1). So the new minimum is gMin+1, and a single count pass finds
+// its multiplicity: half the work of rescanMin's min-then-count scan.
+func advanceMin(counts []uint64, gMin uint64) (uint64, int) {
+	next, cnt := gMin+1, 0
+	for _, v := range counts {
+		if v == next {
+			cnt++
+		}
+	}
+	return next, cnt
+}
+
+// rescanMin recomputes the global minimum and its multiplicity from
+// scratch, for the operations that move counters other than by an add
+// (Halve, Merge, UnmarshalBinary). The scan is a branch-free min pass
+// followed by a count pass, so neither loop mispredicts on the data.
 func (sk *Sketch) rescanMin() {
 	minV := ^uint64(0)
+	for _, v := range sk.counts {
+		minV = min(minV, v)
+	}
 	cnt := 0
 	for _, v := range sk.counts {
-		switch {
-		case v < minV:
-			minV, cnt = v, 1
-		case v == minV:
+		if v == minV {
 			cnt++
 		}
 	}
@@ -226,12 +269,12 @@ func (sk *Sketch) rescanMin() {
 // minimum of its counters across rows (Algorithm 2, line 8). The estimate
 // never underestimates the true count.
 func (sk *Sketch) Estimate(id uint64) uint64 {
-	sk.hashes.Columns(id, sk.scratch)
+	u := hashing.Premix(id)
 	est := ^uint64(0)
-	for row := 0; row < sk.rows; row++ {
-		if v := sk.counts[row*sk.cols+sk.scratch[row]]; v < est {
-			est = v
-		}
+	base := 0
+	for _, h := range sk.hashes.Members() {
+		est = min(est, sk.counts[base+h.Column(u)])
+		base += sk.cols
 	}
 	return est
 }

@@ -2,12 +2,12 @@ package cms
 
 import (
 	"encoding/binary"
-
+	"fmt"
 	"math"
-	"nodesampling/internal/hashing"
 	"testing"
 	"testing/quick"
 
+	"nodesampling/internal/hashing"
 	"nodesampling/internal/rng"
 )
 
@@ -441,33 +441,144 @@ func BenchmarkAddAndEstimate(b *testing.B) {
 	_ = sink
 }
 
-// TestFusedMatchesReference pins the fused AddEstimate (bulk Columns, one
-// premix per id) against the retained per-row reference path: identical
-// estimates and identical global-min tracking over an interleaved stream,
-// under both bucket maps.
+// addEstimateReference is the per-row reference Count-Min update the batch
+// kernel replaced: Family.Hash per row (two-step multiply-mod and add-mod),
+// a per-row multiplicity decrement, and the original one-pass rescan.
+func addEstimateReference(sk *Sketch, id uint64) uint64 {
+	sk.total++
+	est := ^uint64(0)
+	for row := 0; row < sk.rows; row++ {
+		idx := row*sk.cols + sk.hashes.Hash(row, id)
+		v := sk.counts[idx] + 1
+		sk.counts[idx] = v
+		if v-1 == sk.gMin {
+			sk.gMinCnt--
+		}
+		if v < est {
+			est = v
+		}
+	}
+	if sk.gMinCnt == 0 {
+		rescanMinReference(sk)
+	}
+	return est
+}
+
+// addConservativeReference is the per-row reference CM-CU update.
+func addConservativeReference(sk *Sketch, id uint64) uint64 {
+	sk.total++
+	est := ^uint64(0)
+	for row := 0; row < sk.rows; row++ {
+		if v := sk.counts[row*sk.cols+sk.hashes.Hash(row, id)]; v < est {
+			est = v
+		}
+	}
+	target := est + 1
+	for row := 0; row < sk.rows; row++ {
+		idx := row*sk.cols + sk.hashes.Hash(row, id)
+		v := sk.counts[idx]
+		if v >= target {
+			continue
+		}
+		sk.counts[idx] = target
+		if v == sk.gMin {
+			sk.gMinCnt--
+		}
+	}
+	if sk.gMinCnt == 0 {
+		rescanMinReference(sk)
+	}
+	return target
+}
+
+// rescanMinReference is the original single-pass minimum-and-multiplicity
+// scan the two-pass rescanMin replaced.
+func rescanMinReference(sk *Sketch) {
+	minV := ^uint64(0)
+	cnt := 0
+	for _, v := range sk.counts {
+		switch {
+		case v < minV:
+			minV, cnt = v, 1
+		case v == minV:
+			cnt++
+		}
+	}
+	sk.gMin, sk.gMinCnt = minV, cnt
+}
+
+// sameSketchState fails the test unless both sketches hold identical
+// counters, global minimum, minimum multiplicity and stream length.
+func sameSketchState(t *testing.T, what string, got, want *Sketch) {
+	t.Helper()
+	for i := range want.counts {
+		if got.counts[i] != want.counts[i] {
+			t.Fatalf("%s: counter %d = %d, reference %d", what, i, got.counts[i], want.counts[i])
+		}
+	}
+	if got.gMin != want.gMin || got.gMinCnt != want.gMinCnt || got.total != want.total {
+		t.Fatalf("%s: (min, multiplicity, total) = (%d, %d, %d), reference (%d, %d, %d)",
+			what, got.gMin, got.gMinCnt, got.total, want.gMin, want.gMinCnt, want.total)
+	}
+}
+
+// TestFusedMatchesReference pins the batch kernels (AddEstimates and
+// AddConservativeEstimates, premix once per id, single-fold rows) and their
+// one-id wrappers against the per-row reference path: identical per-id
+// estimates and minima, and identical counters, minimum multiplicity and
+// stream length, under both bucket maps and both update rules. Batches of
+// random length interleave with single-id calls, so the locals the kernel
+// carries across a batch must hand over exactly.
 func TestFusedMatchesReference(t *testing.T) {
 	for _, mode := range []hashing.Mode{hashing.ModeModulo, hashing.ModeFastrange} {
-		fused, err := NewWithDimensionsMode(64, 4, rng.New(71), mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := fused.Clone()
-		r := rng.New(72)
-		for i := 0; i < 30000; i++ {
-			id := r.Uint64n(500)
-			ef := fused.AddEstimate(id)
-			er := ref.AddEstimateReference(id)
-			if ef != er {
-				t.Fatalf("mode %v step %d id %d: fused estimate %d != reference %d", mode, i, id, ef, er)
+		for _, conservative := range []bool{false, true} {
+			fused, err := NewWithDimensionsMode(64, 4, rng.New(71), mode)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if fused.GlobalMin() != ref.GlobalMin() {
-				t.Fatalf("mode %v step %d: global min diverged %d vs %d",
-					mode, i, fused.GlobalMin(), ref.GlobalMin())
+			ref := fused.Clone()
+			batch, one := fused.AddEstimates, fused.AddEstimate
+			refAdd := addEstimateReference
+			if conservative {
+				batch, one = fused.AddConservativeEstimates, fused.AddConservativeEstimate
+				refAdd = addConservativeReference
 			}
-		}
-		for id := uint64(0); id < 600; id++ {
-			if fused.Estimate(id) != ref.Estimate(id) {
-				t.Fatalf("mode %v: final estimate mismatch for id %d", mode, id)
+			what := func(step int) string {
+				return fmt.Sprintf("mode %v conservative %v step %d", mode, conservative, step)
+			}
+			r := rng.New(72)
+			ids := make([]uint64, 300)
+			est := make([]uint64, len(ids))
+			mins := make([]uint64, len(ids))
+			for step := 0; step < 30000; {
+				if r.Intn(4) == 0 {
+					id := r.Uint64n(500)
+					if got, want := one(id), refAdd(ref, id); got != want {
+						t.Fatalf("%s id %d: single estimate %d != reference %d", what(step), id, got, want)
+					}
+					step++
+					continue
+				}
+				n := 1 + r.Intn(len(ids))
+				for i := range ids[:n] {
+					ids[i] = r.Uint64n(500)
+				}
+				batch(ids[:n], est, mins)
+				for i, id := range ids[:n] {
+					if want := refAdd(ref, id); est[i] != want {
+						t.Fatalf("%s id %d: batch estimate %d != reference %d", what(step+i), id, est[i], want)
+					}
+					if mins[i] != ref.gMin {
+						t.Fatalf("%s: batch minimum %d != reference %d", what(step+i), mins[i], ref.gMin)
+					}
+				}
+				step += n
+				sameSketchState(t, what(step), fused, ref)
+			}
+			for id := uint64(0); id < 600; id++ {
+				if fused.Estimate(id) != ref.Estimate(id) {
+					t.Fatalf("mode %v: final estimate mismatch for id %d", mode, id)
+				}
 			}
 		}
 	}
@@ -567,20 +678,26 @@ func TestMergeAcrossModesRejected(t *testing.T) {
 	}
 }
 
+// BenchmarkSketchAddEstimate measures the sketch update one id at a time
+// (AddEstimate) and in 256-id batches (AddEstimates, the sampler's path).
+// ns/op is ns per id in both.
 func BenchmarkSketchAddEstimate(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		add  func(*Sketch, uint64) uint64
-	}{
-		{"fused", (*Sketch).AddEstimate},
-		{"reference", (*Sketch).AddEstimateReference},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			sk := mustSketch(b, 1024, 5, 7)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tc.add(sk, uint64(i)&1023)
+	b.Run("single", func(b *testing.B) {
+		sk := mustSketch(b, 1024, 5, 7)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sk.AddEstimate(uint64(i) & 1023)
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		sk := mustSketch(b, 1024, 5, 7)
+		var ids, est, mins [256]uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(ids) {
+			for j := range ids {
+				ids[j] = uint64(i+j) & 1023
 			}
-		})
-	}
+			sk.AddEstimates(ids[:], est[:], mins[:])
+		}
+	})
 }

@@ -60,7 +60,9 @@ type Stats struct {
 // admitted into a full memory. The paper's analysis (Theorem 4) requires
 // the removal probabilities r_j to be identical — UniformEviction — to make
 // the stationary distribution uniform; alternative policies are provided
-// for the ablation study.
+// for the ablation study. A policy sees Γ and the sampler's generator only;
+// the knowledge-free batch kernel runs the sketch up to one chunk ahead of
+// admission, so a policy must not consult the sampler's sketch.
 type EvictionPolicy interface {
 	// Pick returns the index in mem of the victim. mem is non-empty.
 	Pick(mem []uint64, r *rng.Xoshiro) int
@@ -120,11 +122,27 @@ const gammaScanThreshold = 128
 
 // gamma is the sampling memory Γ: a set of at most c distinct ids with
 // cheap membership, insertion, replacement and uniform choice.
+//
+// At or below gammaScanThreshold, membership is a linear scan behind a
+// counting tag filter: tags[t] counts the members whose 8-bit tag is t, so
+// an arrival whose tag count is zero — most non-members, since c ≤ 128
+// members occupy at most half of the 256 tags — is rejected without
+// touching items. add and replace keep the counts exact, and every
+// constructor starts from an empty memory (newGamma) and fills it through
+// add, so the filter never needs a separate rebuild. A count never exceeds
+// c ≤ 128, so uint8 cannot overflow. Above the threshold a map index
+// replaces both.
 type gamma struct {
 	items []uint64
-	index map[uint64]int // nil below gammaScanThreshold: scanning wins
+	index map[uint64]int // nil at or below gammaScanThreshold: scanning wins
+	tags  [256]uint8     // members per tag; used only while index is nil
 	cap   int
 }
+
+// gammaTag is the filter tag of id: the top byte of a Fibonacci
+// multiplicative hash, so structured ids (small integers, strides) still
+// spread over all 256 tags.
+func gammaTag(id uint64) uint8 { return uint8((id * 0x9e3779b97f4a7c15) >> 56) }
 
 func newGamma(c int) gamma {
 	g := gamma{
@@ -142,6 +160,9 @@ func (g *gamma) contains(id uint64) bool {
 		_, ok := g.index[id]
 		return ok
 	}
+	if g.tags[gammaTag(id)] == 0 {
+		return false
+	}
 	for _, v := range g.items {
 		if v == id {
 			return true
@@ -157,6 +178,8 @@ func (g *gamma) size() int  { return len(g.items) }
 func (g *gamma) add(id uint64) {
 	if g.index != nil {
 		g.index[id] = len(g.items)
+	} else {
+		g.tags[gammaTag(id)]++
 	}
 	g.items = append(g.items, id)
 }
@@ -167,6 +190,9 @@ func (g *gamma) replace(i int, id uint64) (evicted uint64) {
 	if g.index != nil {
 		delete(g.index, evicted)
 		g.index[id] = i
+	} else {
+		g.tags[gammaTag(evicted)]--
+		g.tags[gammaTag(id)]++
 	}
 	g.items[i] = id
 	return evicted
@@ -354,6 +380,10 @@ type KnowledgeFree struct {
 	conservative bool
 	halveEvery   uint64
 	stats        Stats
+	// fj and minSigma hold one chunk's sketch results (f̂_j and minσ per
+	// id) between the sketch pass and the admission pass of ingest. They
+	// grow on demand up to ingestChunk and are scratch between calls.
+	fj, minSigma []uint64
 }
 
 var _ Sampler = (*KnowledgeFree)(nil)
@@ -446,37 +476,69 @@ func NewKnowledgeFreeFromAccuracy(c int, epsilon, delta float64, r *rng.Xoshiro,
 // Process implements one step of Algorithm 3: the sketch and the sampling
 // logic both consume the arriving id (the paper's cobegin).
 func (kf *KnowledgeFree) Process(id uint64) uint64 {
-	kf.processOne(id)
+	ids := [1]uint64{id}
+	kf.ingest(ids[:], nil, false)
 	out, _ := kf.Sample()
 	return out
 }
 
-// processOne runs the sketch update and admission for one arriving id,
-// shared by Process and ProcessBatch. The fused add-and-estimate keeps the
-// sketch work to a single hash pass; fj ≥ 1 because the sketch just
-// counted id.
-func (kf *KnowledgeFree) processOne(id uint64) {
-	kf.stats.Processed++
-	var fj uint64
-	if kf.conservative {
-		fj = kf.sketch.AddConservativeEstimate(id)
-	} else {
-		fj = kf.sketch.AddEstimate(id)
+// ingestChunk is the number of ids the sketch pass of ingest runs ahead of
+// the admission pass: large enough to amortise the pass switch, small
+// enough that the chunk's ids and sketch results stay in L1.
+const ingestChunk = 256
+
+// ingest is the knowledge-free ingest kernel behind Process, ProcessBatch
+// and ProcessBatchEmit. It cuts ids into chunks of at most ingestChunk and,
+// per chunk, first runs the sketch over every id in stream order,
+// recording each id's post-add estimate f̂_j and minσ, then runs admission
+// (and, with emit, one σ′ draw appended to out) over the chunk in stream
+// order. Splitting the per-id step this way is exact: the sketch never
+// reads Γ or the generator, and admission never writes the sketch, so each
+// admission sees the same f̂_j and minσ as the one-id-at-a-time loop of
+// Algorithm 3 and consumes the generator in the same order. A chunk ends at
+// every halving step, where the step's id is admitted against the halved
+// counters.
+func (kf *KnowledgeFree) ingest(ids, out []uint64, emit bool) []uint64 {
+	for len(ids) > 0 {
+		n := min(len(ids), ingestChunk)
+		halve := false
+		if kf.halveEvery > 0 {
+			if left := kf.halveEvery - kf.stats.Processed%kf.halveEvery; uint64(n) >= left {
+				n, halve = int(left), true
+			}
+		}
+		if cap(kf.fj) < n {
+			kf.fj, kf.minSigma = make([]uint64, n), make([]uint64, n)
+		}
+		chunk, fj, minSigma := ids[:n], kf.fj[:n], kf.minSigma[:n]
+		if kf.conservative {
+			kf.sketch.AddConservativeEstimates(chunk, fj, minSigma)
+		} else {
+			kf.sketch.AddEstimates(chunk, fj, minSigma)
+		}
+		kf.stats.Processed += uint64(n)
+		if halve {
+			kf.sketch.Halve()
+			fj[n-1], minSigma[n-1] = kf.sketch.Estimate(chunk[n-1]), kf.sketch.GlobalMin()
+		}
+		for i, id := range chunk {
+			kf.admit(id, fj[i], minSigma[i])
+			if emit {
+				if s, ok := kf.Sample(); ok {
+					out = append(out, s)
+				}
+			}
+		}
+		ids = ids[n:]
 	}
-	if kf.halveEvery > 0 && kf.stats.Processed%kf.halveEvery == 0 {
-		kf.sketch.Halve()
-		// On a halving step the admission probability is computed from the
-		// halved counters.
-		fj = kf.sketch.Estimate(id)
-	}
-	kf.admitStep(id, fj)
+	return out
 }
 
-// admitStep is the admission half of Algorithm 3, shared by the single-id
-// and batch paths: given the arriving id and its frequency estimate f̂_j,
+// admit is the admission half of Algorithm 3: given the arriving id, its
+// frequency estimate f̂_j and the sketch minimum minσ as of its arrival,
 // admit it into Γ with probability minσ/f̂_j, evicting a victim chosen by
-// the eviction policy.
-func (kf *KnowledgeFree) admitStep(id, fj uint64) {
+// the eviction policy. fj ≥ 1 because the sketch has counted id.
+func (kf *KnowledgeFree) admit(id, fj, minSigma uint64) {
 	switch {
 	case kf.mem.contains(id):
 		kf.stats.Duplicates++
@@ -484,7 +546,6 @@ func (kf *KnowledgeFree) admitStep(id, fj uint64) {
 		kf.mem.add(id)
 		kf.stats.Admitted++
 	default:
-		minSigma := kf.sketch.GlobalMin()
 		aj := float64(minSigma) / float64(fj)
 		if kf.r.Bernoulli(aj) {
 			victim := kf.evict.Pick(kf.mem.items, kf.r)
@@ -499,11 +560,7 @@ func (kf *KnowledgeFree) admitStep(id, fj uint64) {
 // as Process, but without drawing a per-id output sample: batch ingestion
 // (the sharded pool) serves samples on demand, so the per-step output draw
 // of the paper's one-pass loop would be pure waste.
-func (kf *KnowledgeFree) ProcessBatch(ids []uint64) {
-	for _, id := range ids {
-		kf.processOne(id)
-	}
-}
+func (kf *KnowledgeFree) ProcessBatch(ids []uint64) { kf.ingest(ids, nil, false) }
 
 // ProcessBatchEmit consumes a batch like ProcessBatch but restores the
 // per-id output draw of the paper's one-pass loop: after each ingested id
@@ -514,13 +571,7 @@ func (kf *KnowledgeFree) ProcessBatch(ids []uint64) {
 // the very front of the sampler's first ever batch before one is admitted —
 // and the first id is always admitted, so in practice one draw per id).
 func (kf *KnowledgeFree) ProcessBatchEmit(ids []uint64, out []uint64) []uint64 {
-	for _, id := range ids {
-		kf.processOne(id)
-		if s, ok := kf.Sample(); ok {
-			out = append(out, s)
-		}
-	}
-	return out
+	return kf.ingest(ids, out, true)
 }
 
 // Sample returns a uniformly chosen element of Γ.

@@ -197,8 +197,8 @@ func (h Universal2) bucket(v uint64) int {
 // buckets systematically uncovered.
 //
 // This is the reference implementation of the row hash; the hot path is
-// Family.Columns, which a property test pins against per-row Hash calls
-// bit-for-bit.
+// Premix once per key plus Column per row, which a property test pins
+// against per-row Hash calls bit-for-bit.
 func (h Universal2) Hash(x uint64) int {
 	return h.bucket(addModMersenne(mulModMersenne(h.a, reduceModMersenne(rng.Mix64(x))), h.b))
 }
@@ -280,30 +280,45 @@ func (f *Family) K() int { return f.fns[0].K() }
 func (f *Family) Mode() Mode { return f.mode }
 
 // Hash returns the bucket of x under the i-th function. This per-row form
-// is the reference path; batch consumers use Columns.
+// is the reference path; batch consumers use Members, Premix and Column.
 func (f *Family) Hash(i int, x uint64) int { return f.fns[i].Hash(x) }
 
-// Columns computes the bucket of x under every function in one fused pass,
-// writing member i's bucket to cols[i]; cols must have length ≥ Size. The
-// splitmix64 premix and its Mersenne reduction are row-invariant, so they
-// run once per key instead of once per row, and the per-row tail is a
-// single mul-mod, add-mod and bucket map. Bit-identical to calling Hash per
-// row (the property the fused-vs-reference test pins).
-func (f *Family) Columns(x uint64, cols []int) {
-	u := reduceModMersenne(rng.Mix64(x))
-	if f.mode == ModeFastrange {
-		for i := range f.fns {
-			h := &f.fns[i]
-			v := addModMersenne(mulModMersenne(h.a, u), h.b)
-			hi, _ := bits.Mul64(v<<3, h.k)
-			cols[i] = int(hi)
-		}
-		return
+// Members returns the family's functions in row order, for kernels that
+// walk the rows themselves (Premix once, then Column per row). The slice
+// is the family's own and must not be modified.
+func (f *Family) Members() []Universal2 { return f.fns }
+
+// Premix returns the row-invariant half of every member's hash of x: the
+// splitmix64 bijection reduced mod p. A multi-row consumer computes it
+// once per key and hands it to Column for each row.
+func Premix(x uint64) uint64 { return reduceModMersenne(rng.Mix64(x)) }
+
+// Column maps a premixed key u = Premix(x) to its bucket, so that
+// h.Column(Premix(x)) == h.Hash(x) bit for bit, the property
+// TestColumnsMatchesHash pins. The linear step is linearMod's single fold
+// instead of Hash's separate multiply-mod and add-mod.
+func (h *Universal2) Column(u uint64) int {
+	v := linearMod(h.a, u, h.b)
+	if h.mode == ModeModulo {
+		return int(v % h.k)
 	}
-	for i := range f.fns {
-		h := &f.fns[i]
-		cols[i] = int(addModMersenne(mulModMersenne(h.a, u), h.b) % h.k)
-	}
+	hi, _ := bits.Mul64(v<<3, h.k)
+	return int(hi)
+}
+
+// linearMod returns (a·u + b) mod p for a, u, b < p with a single fold.
+// Because a, u < 2^61 the product is below 2^122, so its high word is below
+// 2^58 and contributes hi·2^64 ≡ hi<<3 (mod p) without a split of its own.
+// The four terms sum below 3·2^61+8, one fold brings that to at most p+3,
+// and one conditional subtraction lands in [0, p): the same canonical value
+// as addModMersenne(mulModMersenne(a, u), b). The subtraction is written as
+// a min (sum−p wraps above sum exactly when sum < p), which compiles to a
+// conditional move and keeps Column within the inlining budget.
+func linearMod(a, u, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, u)
+	sum := (lo & MersennePrime) + (lo >> 61) + (hi << 3) + b
+	sum = (sum & MersennePrime) + (sum >> 61)
+	return min(sum, sum-MersennePrime)
 }
 
 // MinWise is a random "permutation" over the 61-bit id universe used by the
@@ -330,7 +345,7 @@ func NewMinWise(r *rng.Xoshiro) (MinWise, error) {
 // reason: structured integer ids must behave like the paper's random
 // SHA-1-sized identifiers.
 func (m MinWise) Image(x uint64) uint64 {
-	return addModMersenne(mulModMersenne(m.a, reduceModMersenne(rng.Mix64(x))), m.b)
+	return linearMod(m.a, Premix(x), m.b)
 }
 
 // Less reports whether x precedes y under the permutation order.

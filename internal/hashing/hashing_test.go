@@ -273,10 +273,10 @@ func BenchmarkMinWiseImage(b *testing.B) {
 	_ = sink
 }
 
-// TestColumnsMatchesHash pins the fused bulk path against the per-row
-// reference Hash bit-for-bit, over randomized shapes and keys, both bucket
-// maps, and bucket counts up to the fastrange limit (k near 2^31 exercises
-// the scaled multiply's top end).
+// TestColumnsMatchesHash pins the fused row path (Premix once per key,
+// Column per member) against the per-row reference Hash bit-for-bit, over
+// randomized shapes and keys, both bucket maps, and bucket counts up to the
+// fastrange limit (k near 2^31 exercises the scaled multiply's top end).
 func TestColumnsMatchesHash(t *testing.T) {
 	r := rng.New(99)
 	ks := []int{1, 2, 3, 7, 10, 1000, 1 << 20, (1 << 31) - 1, 1 << 31}
@@ -290,22 +290,22 @@ func TestColumnsMatchesHash(t *testing.T) {
 				if f.Mode() != mode {
 					t.Fatalf("family mode %v, want %v", f.Mode(), mode)
 				}
-				cols := make([]int, s)
+				fns := f.Members()
 				for trial := 0; trial < 200; trial++ {
 					x := r.Uint64()
 					if trial < 4 {
 						// Also cover structured keys: 0, 1, p, ^0.
 						x = []uint64{0, 1, MersennePrime, ^uint64(0)}[trial]
 					}
-					f.Columns(x, cols)
+					u := Premix(x)
 					for row := 0; row < s; row++ {
 						want := f.Hash(row, x)
-						if cols[row] != want {
-							t.Fatalf("mode %v k=%d s=%d row %d key %#x: Columns %d != Hash %d",
-								mode, k, s, row, x, cols[row], want)
+						if got := fns[row].Column(u); got != want {
+							t.Fatalf("mode %v k=%d s=%d row %d key %#x: Column %d != Hash %d",
+								mode, k, s, row, x, got, want)
 						}
-						if cols[row] < 0 || cols[row] >= k {
-							t.Fatalf("mode %v k=%d: bucket %d out of range", mode, k, cols[row])
+						if want < 0 || want >= k {
+							t.Fatalf("mode %v k=%d: bucket %d out of range", mode, k, want)
 						}
 					}
 				}
@@ -399,11 +399,39 @@ func BenchmarkFamilyColumns(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cols := make([]int, 5)
+			fns := f.Members()
+			var sink int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.Columns(uint64(i), cols)
+				u := Premix(uint64(i))
+				for r := range fns {
+					sink += fns[r].Column(u)
+				}
 			}
+			_ = sink
 		})
+	}
+}
+
+// TestLinearModMatchesMulAdd pins the one-fold linear step against the
+// two-step multiply-mod then add-mod it replaces, at the extremes of the
+// operand range (where the fold bounds are tight) and on random operands.
+func TestLinearModMatchesMulAdd(t *testing.T) {
+	edge := []uint64{0, 1, 2, 7, 8, 1 << 58, 1 << 60, MersennePrime - 2, MersennePrime - 1}
+	for _, a := range edge {
+		for _, u := range edge {
+			for _, b := range edge {
+				if got, want := linearMod(a, u, b), addModMersenne(mulModMersenne(a, u), b); got != want {
+					t.Fatalf("linearMod(%#x, %#x, %#x) = %#x, want %#x", a, u, b, got, want)
+				}
+			}
+		}
+	}
+	r := rng.New(17)
+	for i := 0; i < 1_000_000; i++ {
+		a, u, b := r.Uint64n(MersennePrime), r.Uint64n(MersennePrime), r.Uint64n(MersennePrime)
+		if got, want := linearMod(a, u, b), addModMersenne(mulModMersenne(a, u), b); got != want {
+			t.Fatalf("linearMod(%#x, %#x, %#x) = %#x, want %#x", a, u, b, got, want)
+		}
 	}
 }

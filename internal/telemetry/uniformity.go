@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"nodesampling/internal/metrics"
@@ -9,25 +10,26 @@ import (
 )
 
 // Probe is a bounded sliding-window histogram over a stream of ids: a ring
-// buffer of the most recent window ids plus an incremental count map, with
-// optional decimation so a high-rate stream costs one mutex acquisition per
-// batch rather than unbounded state. It is the memory behind the live
-// uniformity gauge: old draws age out, so the exported divergence tracks
-// what the stream looks like now, not since boot — an attack that stops
-// shows up as recovery, exactly what an alert needs.
+// buffer of the most recent window admitted ids, with optional decimation
+// so a high-rate stream costs a few nanoseconds per id rather than
+// unbounded state. It is the memory behind the live uniformity gauge: old
+// draws age out, so the exported divergence tracks what the stream looks
+// like now, not since boot — an attack that stops shows up as recovery,
+// exactly what an alert needs.
 //
-// Offer is safe for concurrent use but is expected to be called off the
-// per-id hot path (once per ingest batch, or at scrape time for output
-// draws).
+// Offer sits on the daemon's ingest path, so it does only the per-id
+// minimum — the decimation gate and one ring store — under one mutex
+// acquisition per batch. The histogram is built from the ring at scrape
+// time by Snapshot, which is where the counting cost belongs: a scrape
+// every few seconds instead of a map update per admitted id.
 type Probe struct {
-	mu     sync.Mutex
-	ring   []uint64
-	head   int
-	size   int
-	counts map[uint64]uint64
-	every  uint64 // keep 1 of every `every` offered ids (>=1)
-	seen   uint64 // offered ids since boot, pre-decimation
-	kept   uint64 // ids admitted to the window since boot
+	mu    sync.Mutex
+	ring  []uint64
+	head  int
+	size  int
+	every uint64 // keep 1 of every `every` offered ids (>=1)
+	seen  uint64 // offered ids since boot, pre-decimation
+	kept  uint64 // ids admitted to the window since boot
 }
 
 // NewProbe returns a probe holding the last `window` admitted ids, keeping
@@ -41,7 +43,6 @@ func NewProbe(window, every int) *Probe {
 	p := &Probe{every: uint64(every)}
 	if window > 0 {
 		p.ring = make([]uint64, window)
-		p.counts = make(map[uint64]uint64, window)
 	}
 	return p
 }
@@ -69,32 +70,29 @@ func (p *Probe) Offer(ids []uint64) {
 			continue
 		}
 		p.kept++
-		if p.size == len(p.ring) {
-			old := p.ring[p.head]
-			if c := p.counts[old]; c <= 1 {
-				delete(p.counts, old)
-			} else {
-				p.counts[old] = c - 1
-			}
-		} else {
-			p.size++
-		}
 		p.ring[p.head] = id
-		p.head = (p.head + 1) % len(p.ring)
-		p.counts[id]++
+		if p.head++; p.head == len(p.ring) {
+			p.head = 0
+		}
+		p.size = min(p.size+1, len(p.ring))
 	}
 }
 
 // Snapshot returns the window contents as a metrics.Histogram plus the
-// cumulative offered/kept counters.
+// cumulative offered/kept counters. The live window — ring[:size], since
+// the ring fills from slot 0 and every slot is live once it wraps — is
+// copied under the lock and counted after releasing it, so a scrape holds
+// up concurrent Offers for a copy, not for the counting.
 func (p *Probe) Snapshot() (h *metrics.Histogram, seen, kept uint64) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	window := slices.Clone(p.ring[:p.size])
+	seen, kept = p.seen, p.kept
+	p.mu.Unlock()
 	h = metrics.NewHistogram()
-	for id, c := range p.counts {
-		h.AddN(id, c)
+	for _, id := range window {
+		h.Add(id)
 	}
-	return h, p.seen, p.kept
+	return h, seen, kept
 }
 
 // Window returns the configured window size (0 when disabled).

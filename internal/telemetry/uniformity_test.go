@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"maps"
 	"strings"
 	"testing"
+
+	"nodesampling/internal/rng"
 )
 
 func collectGauge(t *testing.T, u *Uniformity, name string) (float64, bool) {
@@ -163,5 +166,70 @@ func TestUniformityEmptyWindows(t *testing.T) {
 	var sb strings.Builder
 	if _, err := r.WriteTo(&sb); err != nil {
 		t.Fatalf("WriteTo over empty gauge: %v", err)
+	}
+}
+
+// countingProbe is the incremental-count reference the map-free Probe
+// replaced: the same ring and gate, plus a count map updated on every
+// admission and eviction.
+type countingProbe struct {
+	ring              []uint64
+	head, size        int
+	counts            map[uint64]uint64
+	every, seen, kept uint64
+}
+
+func (p *countingProbe) offer(ids []uint64) {
+	for _, id := range ids {
+		p.seen++
+		if p.every > 1 && rng.Mix64(p.seen)%p.every != 0 {
+			continue
+		}
+		p.kept++
+		if p.size == len(p.ring) {
+			old := p.ring[p.head]
+			if p.counts[old]--; p.counts[old] == 0 {
+				delete(p.counts, old)
+			}
+		} else {
+			p.size++
+		}
+		p.ring[p.head] = id
+		p.head = (p.head + 1) % len(p.ring)
+		p.counts[id]++
+	}
+}
+
+// TestProbeSnapshotMatchesIncrementalCounts pins the ring-built Snapshot
+// against the incremental-count reference over random batches, across many
+// ring wraparounds and with and without decimation: identical per-id
+// counts, totals and offered/kept counters after every batch.
+func TestProbeSnapshotMatchesIncrementalCounts(t *testing.T) {
+	r := rng.New(31)
+	for _, window := range []int{1, 7, 64, 4096} {
+		for _, every := range []int{1, 3, 8} {
+			p := NewProbe(window, every)
+			ref := &countingProbe{
+				ring: make([]uint64, window), counts: make(map[uint64]uint64), every: uint64(every),
+			}
+			ids := make([]uint64, 3*window+5)
+			for batch := 0; batch < 200; batch++ {
+				n := r.Intn(len(ids) + 1)
+				for i := range ids[:n] {
+					ids[i] = r.Uint64n(uint64(2*window) + 3)
+				}
+				p.Offer(ids[:n])
+				ref.offer(ids[:n])
+				h, seen, kept := p.Snapshot()
+				if seen != ref.seen || kept != ref.kept {
+					t.Fatalf("window %d every %d batch %d: seen/kept %d/%d, reference %d/%d",
+						window, every, batch, seen, kept, ref.seen, ref.kept)
+				}
+				if !maps.Equal(h.Counts(), ref.counts) || h.Total() != uint64(ref.size) {
+					t.Fatalf("window %d every %d batch %d: histogram %v (total %d), reference %v (total %d)",
+						window, every, batch, h.Counts(), h.Total(), ref.counts, ref.size)
+				}
+			}
+		}
 	}
 }
