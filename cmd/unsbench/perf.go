@@ -65,14 +65,10 @@ var perfSuite = []struct {
 	{"ControllerTick", "ns/op", perfControllerTick},
 	{"SketchAddEstimate/fused", "ns/op", perfSketchAdd},
 	{"KnowledgeFreeBatch/daemon-shape", "ns/id", perfKnowledgeFreeDaemonShape},
-	{"Partition/pooled", "ns/id", func(b *testing.B) { perfPartition(b, true) }},
-	{"Partition/alloc", "ns/id", func(b *testing.B) { perfPartition(b, false) }},
-	{"ShardQueue/ring", "ns/op", func(b *testing.B) { perfQueue(b, true) }},
-	{"ShardQueue/channel", "ns/op", func(b *testing.B) { perfQueue(b, false) }},
 	{"BasaltProcess", "ns/id", perfBasaltProcess},
 }
 
-// perfSink defeats dead-code elimination of the shim benchmarks' results.
+// perfSink defeats dead-code elimination of the benchmark loops' results.
 var perfSink uint64
 
 // perfSketchAdd measures the fused single-id Count-Min update: one premix,
@@ -115,23 +111,6 @@ func perfKnowledgeFreeDaemonShape(b *testing.B) {
 		off := i % len(stream)
 		kf.ProcessBatch(stream[off : off+batch])
 	}
-}
-
-// perfPartition measures the PushBatch counting-sort partition pass — b.N
-// ids in 2048-id batches across 8 shards — with the production pooled
-// buffers or with fresh allocations per batch (the pre-pool behaviour).
-func perfPartition(b *testing.B, pooled bool) {
-	perfSink += shard.BenchPartition(b.N, 2048, 8, pooled)
-}
-
-// perfQueue measures one enqueue/dequeue round-trip on the shard ingest
-// queue: the MPSC ring versus the buffered channel it replaced.
-func perfQueue(b *testing.B, ring bool) {
-	if ring {
-		perfSink += uint64(shard.BenchQueueRing(b.N, 64))
-		return
-	}
-	perfSink += uint64(shard.BenchQueueChannel(b.N, 64))
 }
 
 // runPerf measures every suite entry whose name contains filter ("" keeps

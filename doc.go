@@ -64,10 +64,8 @@
 //     refreshes slot seeds round-robin, the freshness analogue.
 //
 // Snapshot blobs record the strategy that wrote them, and a blob restores
-// only under that strategy: a mismatched restore — including a pre-v2 blob
-// (implicitly knowledge-free) under any other configured strategy — fails
-// loudly, naming both sides. Pre-v2 blobs restore bit-identical under the
-// default strategy.
+// only under that strategy: a mismatched restore fails loudly, naming both
+// sides.
 //
 // The backends are not interchangeable under attack. The adversary
 // tournament (unsattack -tournament, internal/adversary.RunTournament) runs
@@ -136,6 +134,21 @@
 // the whole attack window learning, which is precisely the state the
 // paper's defence depends on. The blob embeds the secret partition salt;
 // store it like key material.
+//
+// # Formats
+//
+// Every persisted or transferred blob carries a magic and a version, and
+// each decoder reads exactly the one version its encoder writes, refusing
+// every other version with an error that names it:
+//
+//   - "CMSK" v2, a Count-Min sketch (internal/cms): v1 blobs, built under a
+//     retired modulo bucket map, are refused with cms.ErrSketchV1.
+//   - "UNSS" v2, a pool snapshot (internal/shard): v1 blobs, written before
+//     the strategy layer, are refused with shard.ErrSnapshotV1.
+//   - "UNSE" v1, the sealed snapshot envelope around a "UNSS" blob.
+//   - "UNSM" v1, the cluster migration blob carried by FrameMigrateState.
+//   - Frame v2, the framed stream protocol; a v1 client gets an Error
+//     frame naming the framed protocol, then a hang-up.
 //
 // Resize also has a policy layer: Pool.Topology and the pool's load
 // signals (queue occupancy, ingest and σ′ drop counters) feed the

@@ -55,25 +55,15 @@ func New(epsilon, delta float64, r *rng.Xoshiro) (*Sketch, error) {
 }
 
 // NewWithDimensions creates a sketch with an explicit k × s shape, matching
-// the parameterisation used throughout the paper's evaluation section. New
-// sketches hash under hashing.ModeFastrange; sketches deserialised from
-// pre-mode blobs stay on the modulo map (see NewWithDimensionsMode and
-// UnmarshalBinary).
+// the parameterisation used throughout the paper's evaluation section.
 func NewWithDimensions(k, s int, r *rng.Xoshiro) (*Sketch, error) {
-	return NewWithDimensionsMode(k, s, r, hashing.ModeFastrange)
-}
-
-// NewWithDimensionsMode is NewWithDimensions with an explicit bucket map
-// mode — primarily for tests and for interoperating with legacy
-// modulo-mode sketch state.
-func NewWithDimensionsMode(k, s int, r *rng.Xoshiro, mode hashing.Mode) (*Sketch, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("cms: column count k must be positive, got %d", k)
 	}
 	if s <= 0 {
 		return nil, fmt.Errorf("cms: row count s must be positive, got %d", s)
 	}
-	fam, err := hashing.NewFamilyMode(s, k, r, mode)
+	fam, err := hashing.NewFamily(s, k, r)
 	if err != nil {
 		return nil, fmt.Errorf("cms: %w", err)
 	}
@@ -96,9 +86,6 @@ func (sk *Sketch) Cols() int { return sk.cols }
 
 // Total returns the number of ids added so far (the stream length m).
 func (sk *Sketch) Total() uint64 { return sk.total }
-
-// Mode returns the bucket map mode of the sketch's hash family.
-func (sk *Sketch) Mode() hashing.Mode { return sk.hashes.Mode() }
 
 // Add records one occurrence of id, incrementing one counter per row
 // (Algorithm 2, lines 6–7).
@@ -321,17 +308,13 @@ func (sk *Sketch) Reset() {
 	sk.gMinCnt = sk.rows * sk.cols
 }
 
-// SharesFamily reports whether both sketches use the same dimensions, the
-// same hash-function parameters and the same bucket map mode, i.e. whether
-// identical ids hit identical counters in both. Only such sketches can be
-// merged meaningfully: summing counters accumulated under different hash
-// families (or the same parameters under different bucket maps) yields a
-// matrix whose minima estimate nothing.
+// SharesFamily reports whether both sketches use the same dimensions and
+// the same hash-function parameters, i.e. whether identical ids hit
+// identical counters in both. Only such sketches can be merged
+// meaningfully: summing counters accumulated under different hash families
+// yields a matrix whose minima estimate nothing.
 func (sk *Sketch) SharesFamily(other *Sketch) bool {
 	if other == nil || sk.rows != other.rows || sk.cols != other.cols {
-		return false
-	}
-	if sk.hashes.Mode() != other.hashes.Mode() {
 		return false
 	}
 	a, b := sk.hashes.Params(), other.hashes.Params()

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"nodesampling/internal/hashing"
 	"nodesampling/internal/rng"
 )
 
@@ -351,6 +350,15 @@ func TestMergeValidation(t *testing.T) {
 	if err := a.Merge(nil); err == nil {
 		t.Error("merge with nil should fail")
 	}
+	// Same shape, independently drawn hash family: the same ids hit
+	// different counters, so the sketches must not merge.
+	c := mustSketch(t, 8, 2, 20)
+	if a.SharesFamily(c) {
+		t.Error("SharesFamily true for independently drawn families")
+	}
+	if err := a.Merge(c); err == nil {
+		t.Error("merge across hash families should fail")
+	}
 }
 
 func TestEstimateMonotoneInAdds(t *testing.T) {
@@ -526,107 +534,64 @@ func sameSketchState(t *testing.T, what string, got, want *Sketch) {
 // AddConservativeEstimates, premix once per id, single-fold rows) and their
 // one-id wrappers against the per-row reference path: identical per-id
 // estimates and minima, and identical counters, minimum multiplicity and
-// stream length, under both bucket maps and both update rules. Batches of
-// random length interleave with single-id calls, so the locals the kernel
-// carries across a batch must hand over exactly.
+// stream length, under both update rules. Batches of random length
+// interleave with single-id calls, so the locals the kernel carries across
+// a batch must hand over exactly.
 func TestFusedMatchesReference(t *testing.T) {
-	for _, mode := range []hashing.Mode{hashing.ModeModulo, hashing.ModeFastrange} {
-		for _, conservative := range []bool{false, true} {
-			fused, err := NewWithDimensionsMode(64, 4, rng.New(71), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := fused.Clone()
-			batch, one := fused.AddEstimates, fused.AddEstimate
-			refAdd := addEstimateReference
-			if conservative {
-				batch, one = fused.AddConservativeEstimates, fused.AddConservativeEstimate
-				refAdd = addConservativeReference
-			}
-			what := func(step int) string {
-				return fmt.Sprintf("mode %v conservative %v step %d", mode, conservative, step)
-			}
-			r := rng.New(72)
-			ids := make([]uint64, 300)
-			est := make([]uint64, len(ids))
-			mins := make([]uint64, len(ids))
-			for step := 0; step < 30000; {
-				if r.Intn(4) == 0 {
-					id := r.Uint64n(500)
-					if got, want := one(id), refAdd(ref, id); got != want {
-						t.Fatalf("%s id %d: single estimate %d != reference %d", what(step), id, got, want)
-					}
-					step++
-					continue
+	for _, conservative := range []bool{false, true} {
+		fused := mustSketch(t, 64, 4, 71)
+		ref := fused.Clone()
+		batch, one := fused.AddEstimates, fused.AddEstimate
+		refAdd := addEstimateReference
+		if conservative {
+			batch, one = fused.AddConservativeEstimates, fused.AddConservativeEstimate
+			refAdd = addConservativeReference
+		}
+		what := func(step int) string {
+			return fmt.Sprintf("conservative %v step %d", conservative, step)
+		}
+		r := rng.New(72)
+		ids := make([]uint64, 300)
+		est := make([]uint64, len(ids))
+		mins := make([]uint64, len(ids))
+		for step := 0; step < 30000; {
+			if r.Intn(4) == 0 {
+				id := r.Uint64n(500)
+				if got, want := one(id), refAdd(ref, id); got != want {
+					t.Fatalf("%s id %d: single estimate %d != reference %d", what(step), id, got, want)
 				}
-				n := 1 + r.Intn(len(ids))
-				for i := range ids[:n] {
-					ids[i] = r.Uint64n(500)
-				}
-				batch(ids[:n], est, mins)
-				for i, id := range ids[:n] {
-					if want := refAdd(ref, id); est[i] != want {
-						t.Fatalf("%s id %d: batch estimate %d != reference %d", what(step+i), id, est[i], want)
-					}
-					if mins[i] != ref.gMin {
-						t.Fatalf("%s: batch minimum %d != reference %d", what(step+i), mins[i], ref.gMin)
-					}
-				}
-				step += n
-				sameSketchState(t, what(step), fused, ref)
+				step++
+				continue
 			}
-			for id := uint64(0); id < 600; id++ {
-				if fused.Estimate(id) != ref.Estimate(id) {
-					t.Fatalf("mode %v: final estimate mismatch for id %d", mode, id)
+			n := 1 + r.Intn(len(ids))
+			for i := range ids[:n] {
+				ids[i] = r.Uint64n(500)
+			}
+			batch(ids[:n], est, mins)
+			for i, id := range ids[:n] {
+				if want := refAdd(ref, id); est[i] != want {
+					t.Fatalf("%s id %d: batch estimate %d != reference %d", what(step+i), id, est[i], want)
 				}
+				if mins[i] != ref.gMin {
+					t.Fatalf("%s: batch minimum %d != reference %d", what(step+i), mins[i], ref.gMin)
+				}
+			}
+			step += n
+			sameSketchState(t, what(step), fused, ref)
+		}
+		for id := uint64(0); id < 600; id++ {
+			if fused.Estimate(id) != ref.Estimate(id) {
+				t.Fatalf("conservative %v: final estimate mismatch for id %d", conservative, id)
 			}
 		}
 	}
 }
 
-// TestLegacyModuloBlobRestores: a modulo-mode sketch must serialise as the
-// legacy version-1 layout (so pre-mode blobs and readers interoperate) and
-// restore under the modulo map with bit-identical behaviour.
-func TestLegacyModuloBlobRestores(t *testing.T) {
-	sk, err := NewWithDimensionsMode(32, 3, rng.New(81), hashing.ModeModulo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(82)
-	for i := 0; i < 10000; i++ {
-		sk.Add(r.Uint64n(200))
-	}
-	data, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.BigEndian.Uint32(data[4:8]); v != 1 {
-		t.Fatalf("modulo sketch serialised as version %d, want legacy version 1", v)
-	}
-	if want := headerLenV1 + sk.rows*16 + sk.rows*sk.cols*8; len(data) != want {
-		t.Fatalf("modulo blob length %d, want v1 layout length %d", len(data), want)
-	}
-	var back Sketch
-	if err := back.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if back.Mode() != hashing.ModeModulo {
-		t.Fatalf("restored mode %v, want modulo", back.Mode())
-	}
-	for id := uint64(0); id < 300; id++ {
-		if back.Estimate(id) != sk.Estimate(id) {
-			t.Fatalf("estimate mismatch for id %d after legacy restore", id)
-		}
-	}
-}
-
-// TestFastrangeBlobRoundTripsMode: a fastrange sketch round-trips through
-// the version-2 layout keeping its mode and exact estimates.
+// TestFastrangeBlobRoundTripsMode: a sketch round-trips through the
+// version-2 layout, bucket map word 1 (multiply-shift) in its header,
+// keeping exact estimates.
 func TestFastrangeBlobRoundTripsMode(t *testing.T) {
-	sk, err := NewWithDimensionsMode(32, 3, rng.New(83), hashing.ModeFastrange)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := mustSketch(t, 32, 3, 83)
 	r := rng.New(84)
 	for i := 0; i < 10000; i++ {
 		sk.Add(r.Uint64n(200))
@@ -636,14 +601,14 @@ func TestFastrangeBlobRoundTripsMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v := binary.BigEndian.Uint32(data[4:8]); v != 2 {
-		t.Fatalf("fastrange sketch serialised as version %d, want 2", v)
+		t.Fatalf("sketch serialised as version %d, want 2", v)
+	}
+	if m := binary.BigEndian.Uint32(data[8:12]); m != 1 {
+		t.Fatalf("sketch serialised with bucket map word %d, want 1", m)
 	}
 	var back Sketch
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
-	}
-	if back.Mode() != hashing.ModeFastrange {
-		t.Fatalf("restored mode %v, want fastrange", back.Mode())
 	}
 	for id := uint64(0); id < 300; id++ {
 		if back.Estimate(id) != sk.Estimate(id) {
@@ -654,27 +619,6 @@ func TestFastrangeBlobRoundTripsMode(t *testing.T) {
 	back.Add(9)
 	if back.Estimate(9) != sk.Estimate(9) {
 		t.Fatal("post-restore evolution diverged")
-	}
-}
-
-// TestMergeAcrossModesRejected: identical (a, b) parameters under different
-// bucket maps are different hash functions; SharesFamily and Merge must say
-// so. The two constructions draw from identically-seeded generators, so the
-// parameters really do coincide — only the mode differs.
-func TestMergeAcrossModesRejected(t *testing.T) {
-	a, err := NewWithDimensionsMode(64, 4, rng.New(91), hashing.ModeModulo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewWithDimensionsMode(64, 4, rng.New(91), hashing.ModeFastrange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.SharesFamily(b) {
-		t.Fatal("SharesFamily ignored the bucket map mode")
-	}
-	if err := a.Merge(b); err == nil {
-		t.Fatal("Merge across bucket map modes accepted")
 	}
 }
 

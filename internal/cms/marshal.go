@@ -8,46 +8,39 @@ import (
 	"nodesampling/internal/hashing"
 )
 
-// Binary layout (all fields big-endian uint64 unless noted):
+// Binary layout, version 2 (all fields big-endian uint64 unless noted):
 //
-//	version 1 (legacy, bucket map implied modulo):
-//	  magic "CMSK" | version (uint32) | rows | cols | total
-//	  rows × (a, b) hash parameters
-//	  rows × cols counters
+//	magic "CMSK" | version (uint32) = 2 | bucket map (uint32) = 1
+//	rows | cols | total
+//	rows × (a, b) hash parameters
+//	rows × cols counters
 //
-//	version 2 (adds the bucket map mode, see hashing.Mode):
-//	  magic "CMSK" | version (uint32) | mode (uint32) | rows | cols | total
-//	  rows × (a, b) hash parameters
-//	  rows × cols counters
-//
-// A modulo-mode sketch still serialises as version 1, byte-identical to
-// blobs written before modes existed, so pre-mode readers and writers stay
-// interoperable for the entire legacy state they can represent; only
-// fastrange sketches need (and get) the version 2 header. Either way the
-// blob pins the bucket map: a restored sketch estimates bit-identically.
+// The bucket map word names hashing's multiply-shift map, the only one
+// there is; it stays in the header so the bytes match every version 2 blob
+// ever written. This is the one version MarshalBinary writes and
+// UnmarshalBinary reads. Version 1 blobs (no bucket map word) hashed ids
+// under a retired modulo map and are refused with ErrSketchV1; any other
+// version or bucket map word is refused too.
 const (
-	marshalMagic      = "CMSK"
-	marshalVersion    = 1
-	marshalVersionV2  = 2
-	headerLenV1       = 4 + 4 + 8*3
-	headerLenV2       = 4 + 4 + 4 + 8*3
-	marshalModeModulo = uint32(hashing.ModeModulo)
+	marshalMagic   = "CMSK"
+	marshalVersion = 2
+	bucketMapWord  = 1
+	headerLen      = 4 + 4 + 4 + 8*3
 )
 
-// MarshalBinary serialises the sketch — counters, hash-family parameters
-// and bucket map mode — so a sampler's frequency state survives restarts.
-// It implements encoding.BinaryMarshaler.
+// ErrSketchV1 refuses a version 1 sketch blob: it was built under the
+// retired modulo bucket map, whose columns this build cannot reproduce.
+var ErrSketchV1 = errors.New("cms: version 1 sketch blob uses the retired modulo bucket map and can no longer be read")
+
+// MarshalBinary serialises the sketch — counters and hash-family
+// parameters — so a sampler's frequency state survives restarts. It
+// implements encoding.BinaryMarshaler.
 func (sk *Sketch) MarshalBinary() ([]byte, error) {
-	mode := sk.hashes.Mode()
-	size := headerLenV2 + sk.rows*16 + sk.rows*sk.cols*8
+	size := headerLen + sk.rows*16 + sk.rows*sk.cols*8
 	buf := make([]byte, 0, size)
 	buf = append(buf, marshalMagic...)
-	if mode == hashing.ModeModulo {
-		buf = binary.BigEndian.AppendUint32(buf, marshalVersion)
-	} else {
-		buf = binary.BigEndian.AppendUint32(buf, marshalVersionV2)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(mode))
-	}
+	buf = binary.BigEndian.AppendUint32(buf, marshalVersion)
+	buf = binary.BigEndian.AppendUint32(buf, bucketMapWord)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(sk.rows))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(sk.cols))
 	buf = binary.BigEndian.AppendUint64(buf, sk.total)
@@ -62,58 +55,47 @@ func (sk *Sketch) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary reconstructs a sketch serialised by MarshalBinary,
-// including its hash family (with the recorded bucket map mode — legacy
-// version 1 blobs restore under the modulo map), counters and
-// global-minimum tracking. It implements encoding.BinaryUnmarshaler; the
-// receiver's previous state is discarded.
+// including its hash family, counters and global-minimum tracking. It
+// implements encoding.BinaryUnmarshaler; the receiver's previous state is
+// discarded.
 func (sk *Sketch) UnmarshalBinary(data []byte) error {
-	if len(data) < headerLenV1 {
+	if len(data) < 8 {
 		return errors.New("cms: truncated sketch data")
 	}
 	if string(data[:4]) != marshalMagic {
 		return errors.New("cms: bad magic, not a serialised sketch")
 	}
-	header := headerLenV1
-	mode := hashing.ModeModulo
-	off := 8
 	switch v := binary.BigEndian.Uint32(data[4:8]); v {
 	case marshalVersion:
-		// Legacy blob: bucket map implied modulo.
-	case marshalVersionV2:
-		header = headerLenV2
-		if len(data) < header {
-			return errors.New("cms: truncated sketch data")
-		}
-		m := binary.BigEndian.Uint32(data[8:12])
-		if m == marshalModeModulo || m > uint32(hashing.ModeFastrange) {
-			// Modulo sketches serialise as version 1; a v2 blob claiming
-			// modulo (or an unknown mode) is not something this code ever
-			// wrote.
-			return fmt.Errorf("cms: invalid bucket map mode %d in version 2 sketch", m)
-		}
-		mode = hashing.Mode(m)
-		off = 12
+	case 1:
+		return ErrSketchV1
 	default:
 		return fmt.Errorf("cms: unsupported version %d", v)
 	}
-	rows := binary.BigEndian.Uint64(data[off:])
-	cols := binary.BigEndian.Uint64(data[off+8:])
-	total := binary.BigEndian.Uint64(data[off+16:])
+	if len(data) < headerLen {
+		return errors.New("cms: truncated sketch data")
+	}
+	if m := binary.BigEndian.Uint32(data[8:12]); m != bucketMapWord {
+		return fmt.Errorf("cms: unknown bucket map %d in version 2 sketch", m)
+	}
+	rows := binary.BigEndian.Uint64(data[12:])
+	cols := binary.BigEndian.Uint64(data[20:])
+	total := binary.BigEndian.Uint64(data[28:])
 	if rows == 0 || cols == 0 || rows > 1<<20 || cols > 1<<30 {
 		return fmt.Errorf("cms: implausible dimensions %dx%d", rows, cols)
 	}
-	want := header + int(rows)*16 + int(rows*cols)*8
+	want := headerLen + int(rows)*16 + int(rows*cols)*8
 	if len(data) != want {
 		return fmt.Errorf("cms: data length %d, want %d for a %dx%d sketch", len(data), want, rows, cols)
 	}
-	off = header
+	off := headerLen
 	params := make([][2]uint64, rows)
 	for i := range params {
 		params[i][0] = binary.BigEndian.Uint64(data[off:])
 		params[i][1] = binary.BigEndian.Uint64(data[off+8:])
 		off += 16
 	}
-	fam, err := hashing.NewFamilyFromParamsMode(params, int(cols), mode)
+	fam, err := hashing.NewFamilyFromParams(params, int(cols))
 	if err != nil {
 		return fmt.Errorf("cms: reconstruct hash family: %w", err)
 	}

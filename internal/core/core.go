@@ -144,15 +144,15 @@ type gamma struct {
 // spread over all 256 tags.
 func gammaTag(id uint64) uint8 { return uint8((id * 0x9e3779b97f4a7c15) >> 56) }
 
+// newGamma returns an empty memory of capacity c. At or below
+// gammaScanThreshold the items slice is sized to c up front; above it the
+// slice and the index grow with the members actually added, so a declared
+// capacity (a snapshot header, a migration) costs nothing until ids arrive.
 func newGamma(c int) gamma {
-	g := gamma{
-		items: make([]uint64, 0, c),
-		cap:   c,
-	}
 	if c > gammaScanThreshold {
-		g.index = make(map[uint64]int, c)
+		return gamma{index: make(map[uint64]int), cap: c}
 	}
-	return g
+	return gamma{items: make([]uint64, 0, c), cap: c}
 }
 
 func (g *gamma) contains(id uint64) bool {

@@ -94,8 +94,8 @@ type SamplerFactory struct {
 	Restore func(c int, state []byte, r *rng.Xoshiro) (PoolSampler, error)
 }
 
-// DefaultStrategy is the paper's estimator and the name implied by
-// pre-strategy (v1) snapshot blobs.
+// DefaultStrategy is the paper's estimator, the strategy NewFactory
+// resolves when given no name.
 const DefaultStrategy = "knowledge-free"
 
 // strategyDef is one registry entry.
@@ -166,38 +166,6 @@ func NewFactory(name string, p StrategyParams) (SamplerFactory, error) {
 	}, nil
 }
 
-// RestoreFactory resolves a factory for restoring a snapshot whose config
-// named no strategy: the blob governs, and only per-sampler options (decay,
-// eviction policy) carry over from the config. Shape parameters are not
-// needed — the marshalled state carries its own shape.
-func RestoreFactory(name string, opts ...Option) (SamplerFactory, error) {
-	return NewFactory(name, StrategyParams{Options: opts})
-}
-
-// LegacySketchFactory adapts the pre-strategy shard configuration — a sketch
-// constructor hook plus core options — to a default-strategy factory. It
-// exists so configs written against the old Config.NewSketch field keep
-// working unchanged.
-func LegacySketchFactory(newSketch func(r *rng.Xoshiro) (*cms.Sketch, error), opts ...Option) SamplerFactory {
-	return SamplerFactory{
-		Name: DefaultStrategy,
-		New: func(c int, r *rng.Xoshiro) (PoolSampler, error) {
-			sk, err := newSketch(r)
-			if err != nil {
-				return nil, err
-			}
-			return NewKnowledgeFreeWithSketch(c, sk, r, opts...)
-		},
-		Restore: func(c int, state []byte, r *rng.Xoshiro) (PoolSampler, error) {
-			sk := new(cms.Sketch)
-			if err := sk.UnmarshalBinary(state); err != nil {
-				return nil, err
-			}
-			return NewKnowledgeFreeWithSketch(c, sk, r, opts...)
-		},
-	}
-}
-
 // --- KnowledgeFree: PoolSampler surface -----------------------------------
 
 var _ PoolSampler = (*KnowledgeFree)(nil)
@@ -246,8 +214,7 @@ func (kf *KnowledgeFree) MergeState(other PoolSampler) error {
 }
 
 // MarshalState serialises the sketch (the Γ memory is carried separately by
-// the snapshot layer). The bytes are exactly the sketch's binary form, which
-// keeps v2 snapshot bodies bit-identical to v1 bodies.
+// the snapshot layer). The bytes are exactly the sketch's binary form.
 func (kf *KnowledgeFree) MarshalState() ([]byte, error) { return kf.sketch.MarshalBinary() }
 
 // StateDesc describes the sketch shape for snapshot-mismatch errors.

@@ -5,12 +5,15 @@
 // The family is the classic Carter–Wegman construction over the Mersenne
 // prime p = 2^61 − 1:
 //
-//	h_{a,b}(x) = ((a·x + b) mod p) mod k,  a ∈ [1, p−1], b ∈ [0, p−1]
+//	h_{a,b}(x) = ⌊((a·x + b) mod p) · k / 2^61⌋,  a ∈ [1, p−1], b ∈ [0, p−1]
 //
-// For any two distinct x, y the collision probability over the random choice
-// of (a, b) is at most 1/k (up to the negligible p-rounding term), which is
-// exactly the 2-universality property Algorithm 2 (Count-Min sketch) and the
-// urn analysis of Section V assume.
+// The linear value is mapped onto the k buckets by multiply-shift (contiguous
+// blocks of [0, p)) rather than by a residue mod k; it is the package's one
+// bucket map, so every family member and every serialised sketch agree on
+// it. For any two distinct x, y the collision probability over the random
+// choice of (a, b) is at most 1/k (up to the negligible p-rounding term),
+// which is exactly the 2-universality property Algorithm 2 (Count-Min
+// sketch) and the urn analysis of Section V assume.
 package hashing
 
 import (
@@ -23,43 +26,6 @@ import (
 
 // MersennePrime is p = 2^61 − 1, the modulus of the hash family.
 const MersennePrime uint64 = (1 << 61) - 1
-
-// Mode selects how a family member's 61-bit linear value v = (a·x+b) mod p
-// is mapped onto its bucket range [0, K). The two maps partition [0, p)
-// differently, so the mode is part of a family's identity: sketches built
-// under different modes place ids in different columns and must never be
-// merged, and serialised sketches record their mode (cms marshal version 2)
-// so a restored sketch keeps estimating bit-identically.
-type Mode uint8
-
-const (
-	// ModeModulo is the original map, bucket = v mod k — one 64-bit
-	// division per row per key. Every sketch serialised before modes
-	// existed is a ModeModulo sketch.
-	ModeModulo Mode = iota
-	// ModeFastrange is Lemire's multiply-shift range reduction: v is
-	// scaled to the full 64-bit range (v < 2^61, so v·8 loses nothing)
-	// and bucket = high64(8v · k) = ⌊v·k/2^61⌋ — a multiply instead of a
-	// division. The map is still an (almost) equipartition of [0, p) into
-	// k buckets, just by contiguous blocks instead of residue classes, so
-	// composed with the 2-universal family it has the same collision
-	// bound; only the concrete bucket of a given (a, b, v) differs.
-	ModeFastrange
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeModulo:
-		return "modulo"
-	case ModeFastrange:
-		return "fastrange"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// valid reports whether m names a defined mode (for deserialisation).
-func (m Mode) valid() bool { return m == ModeModulo || m == ModeFastrange }
 
 // mulModMersenne returns (a * b) mod (2^61 − 1) using a 128-bit intermediate
 // product and the standard fold reduction for Mersenne primes.
@@ -98,58 +64,53 @@ func reduceModMersenne(x uint64) uint64 {
 
 // Universal2 is one member h_{a,b} of the 2-universal family mapping uint64
 // keys to buckets [0, K).
+//
+// The bucket of a linear value v = (a·x+b) mod p is Lemire's multiply-shift
+// range reduction: v is scaled to the full 64-bit range (v < 2^61, so v·8
+// loses nothing) and bucket = high64(8v · k) = ⌊v·k/2^61⌋, a multiply
+// instead of a division. The map is an (almost) equipartition of [0, p)
+// into k contiguous blocks, so composed with the 2-universal family it
+// keeps the family's collision bound.
 type Universal2 struct {
 	a, b uint64
 	k    uint64
-	mode Mode
 }
 
-// NewUniversal2 draws a random member of the family with range [0, k) under
-// the legacy modulo bucket map. It returns an error if k == 0.
-func NewUniversal2(k int, r *rng.Xoshiro) (Universal2, error) {
-	return NewUniversal2Mode(k, r, ModeModulo)
-}
+// maxBuckets bounds the bucket count so the scaled product 8v·k (v < 2^61)
+// stays exact in the 128-bit intermediate; 2^31 is far beyond any sketch
+// width the service uses.
+const maxBuckets = 1 << 31
 
-// NewUniversal2Mode draws a random member with an explicit bucket map mode.
-func NewUniversal2Mode(k int, r *rng.Xoshiro, mode Mode) (Universal2, error) {
+// checkBuckets validates a bucket count k.
+func checkBuckets(k int) error {
 	if k <= 0 {
-		return Universal2{}, fmt.Errorf("hashing: bucket count must be positive, got %d", k)
+		return fmt.Errorf("hashing: bucket count must be positive, got %d", k)
 	}
-	if k > maxFastrangeK && mode == ModeFastrange {
-		return Universal2{}, fmt.Errorf("hashing: bucket count %d exceeds fastrange limit %d", k, maxFastrangeK)
+	if k > maxBuckets {
+		return fmt.Errorf("hashing: bucket count %d exceeds limit %d", k, maxBuckets)
+	}
+	return nil
+}
+
+// NewUniversal2 draws a random member of the family with range [0, k). It
+// returns an error if k is outside [1, 2^31] or r is nil.
+func NewUniversal2(k int, r *rng.Xoshiro) (Universal2, error) {
+	if err := checkBuckets(k); err != nil {
+		return Universal2{}, err
 	}
 	if r == nil {
 		return Universal2{}, errors.New("hashing: nil random source")
 	}
-	if !mode.valid() {
-		return Universal2{}, fmt.Errorf("hashing: unknown bucket map %v", mode)
-	}
 	a := 1 + r.Uint64n(MersennePrime-1) // a ∈ [1, p−1]
 	b := r.Uint64n(MersennePrime)       // b ∈ [0, p−1]
-	return Universal2{a: a, b: b, k: uint64(k), mode: mode}, nil
+	return Universal2{a: a, b: b, k: uint64(k)}, nil
 }
-
-// maxFastrangeK bounds the bucket count under ModeFastrange so the scaled
-// product 8v·k (v < 2^61) stays exact in the 128-bit intermediate; 2^31 is
-// far beyond any sketch width the service uses and matches the modulo
-// path's practical range.
-const maxFastrangeK = 1 << 31
 
 // NewUniversal2FromParams reconstructs a family member from its parameters
 // (for deserialising sketches); a must lie in [1, p−1] and b in [0, p−1].
-// The member uses the legacy modulo bucket map.
 func NewUniversal2FromParams(a, b uint64, k int) (Universal2, error) {
-	return NewUniversal2FromParamsMode(a, b, k, ModeModulo)
-}
-
-// NewUniversal2FromParamsMode is NewUniversal2FromParams with an explicit
-// bucket map mode, for sketches serialised after modes existed.
-func NewUniversal2FromParamsMode(a, b uint64, k int, mode Mode) (Universal2, error) {
-	if k <= 0 {
-		return Universal2{}, fmt.Errorf("hashing: bucket count must be positive, got %d", k)
-	}
-	if k > maxFastrangeK && mode == ModeFastrange {
-		return Universal2{}, fmt.Errorf("hashing: bucket count %d exceeds fastrange limit %d", k, maxFastrangeK)
+	if err := checkBuckets(k); err != nil {
+		return Universal2{}, err
 	}
 	if a < 1 || a >= MersennePrime {
 		return Universal2{}, fmt.Errorf("hashing: parameter a=%d outside [1, p-1]", a)
@@ -157,10 +118,7 @@ func NewUniversal2FromParamsMode(a, b uint64, k int, mode Mode) (Universal2, err
 	if b >= MersennePrime {
 		return Universal2{}, fmt.Errorf("hashing: parameter b=%d outside [0, p-1]", b)
 	}
-	if !mode.valid() {
-		return Universal2{}, fmt.Errorf("hashing: unknown bucket map %v", mode)
-	}
-	return Universal2{a: a, b: b, k: uint64(k), mode: mode}, nil
+	return Universal2{a: a, b: b, k: uint64(k)}, nil
 }
 
 // Params returns the (a, b) parameters identifying this family member, so a
@@ -170,21 +128,14 @@ func (h Universal2) Params() (a, b uint64) { return h.a, h.b }
 // K returns the number of buckets.
 func (h Universal2) K() int { return int(h.k) }
 
-// Mode returns the member's bucket map mode.
-func (h Universal2) Mode() Mode { return h.mode }
-
-// bucket maps a 61-bit linear value v = (a·x+b) mod p onto [0, K) under the
-// member's mode.
+// bucket maps a 61-bit linear value v = (a·x+b) mod p onto [0, K). v < 2^61,
+// so v<<3 spans the full 64-bit range without overflow and hi = ⌊v·k/2^61⌋
+// ∈ [0, k). Without the shift the product would only cover [0, k/8):
+// multiply-shift divides the *input* range evenly, so the input must span
+// the whole 64-bit word.
 func (h Universal2) bucket(v uint64) int {
-	if h.mode == ModeFastrange {
-		// v < 2^61, so v<<3 occupies the full 64-bit range without overflow
-		// and hi = ⌊v·k/2^61⌋ ∈ [0, k). Without the shift the product would
-		// only cover [0, k/8): fastrange divides the *input* range evenly,
-		// so the input must span the whole 64-bit word.
-		hi, _ := bits.Mul64(v<<3, h.k)
-		return int(hi)
-	}
-	return int(v % h.k)
+	hi, _ := bits.Mul64(v<<3, h.k)
+	return int(hi)
 }
 
 // Hash maps x to a bucket in [0, K).
@@ -204,59 +155,42 @@ func (h Universal2) Hash(x uint64) int {
 }
 
 // Family is an independent collection of 2-universal hash functions sharing
-// the same range and bucket map mode, as used by the Count-Min sketch (one
-// function per row).
+// the same range, as used by the Count-Min sketch (one function per row).
 type Family struct {
-	fns  []Universal2
-	mode Mode
+	fns []Universal2
 }
 
-// NewFamily draws s independent functions with range [0, k) under
-// ModeFastrange — the default for every newly built sketch. Families
-// reconstructed from pre-mode serialised parameters (NewFamilyFromParams)
-// stay on ModeModulo so their column maps never change.
+// NewFamily draws s independent functions with range [0, k).
 func NewFamily(s, k int, r *rng.Xoshiro) (*Family, error) {
-	return NewFamilyMode(s, k, r, ModeFastrange)
-}
-
-// NewFamilyMode draws s independent functions with an explicit bucket map.
-func NewFamilyMode(s, k int, r *rng.Xoshiro, mode Mode) (*Family, error) {
 	if s <= 0 {
 		return nil, fmt.Errorf("hashing: family size must be positive, got %d", s)
 	}
 	fns := make([]Universal2, s)
 	for i := range fns {
-		h, err := NewUniversal2Mode(k, r, mode)
+		h, err := NewUniversal2(k, r)
 		if err != nil {
 			return nil, fmt.Errorf("draw function %d: %w", i, err)
 		}
 		fns[i] = h
 	}
-	return &Family{fns: fns, mode: mode}, nil
+	return &Family{fns: fns}, nil
 }
 
 // NewFamilyFromParams reconstructs a family from serialised member
-// parameters, all sharing the bucket count k, under the legacy modulo map —
-// the mode every sketch serialised before modes existed was built with.
+// parameters, all sharing the bucket count k.
 func NewFamilyFromParams(params [][2]uint64, k int) (*Family, error) {
-	return NewFamilyFromParamsMode(params, k, ModeModulo)
-}
-
-// NewFamilyFromParamsMode reconstructs a family with an explicit mode, for
-// deserialising sketches whose blob records one.
-func NewFamilyFromParamsMode(params [][2]uint64, k int, mode Mode) (*Family, error) {
 	if len(params) == 0 {
 		return nil, errors.New("hashing: empty parameter list")
 	}
 	fns := make([]Universal2, len(params))
 	for i, p := range params {
-		h, err := NewUniversal2FromParamsMode(p[0], p[1], k, mode)
+		h, err := NewUniversal2FromParams(p[0], p[1], k)
 		if err != nil {
 			return nil, fmt.Errorf("member %d: %w", i, err)
 		}
 		fns[i] = h
 	}
-	return &Family{fns: fns, mode: mode}, nil
+	return &Family{fns: fns}, nil
 }
 
 // Params returns each member's (a, b) parameters in order.
@@ -273,11 +207,6 @@ func (f *Family) Size() int { return len(f.fns) }
 
 // K returns the shared bucket count.
 func (f *Family) K() int { return f.fns[0].K() }
-
-// Mode returns the family's shared bucket map mode. Families with equal
-// (a, b) parameters but different modes hash to different columns and are
-// therefore distinct families.
-func (f *Family) Mode() Mode { return f.mode }
 
 // Hash returns the bucket of x under the i-th function. This per-row form
 // is the reference path; batch consumers use Members, Premix and Column.
@@ -297,14 +226,7 @@ func Premix(x uint64) uint64 { return reduceModMersenne(rng.Mix64(x)) }
 // h.Column(Premix(x)) == h.Hash(x) bit for bit, the property
 // TestColumnsMatchesHash pins. The linear step is linearMod's single fold
 // instead of Hash's separate multiply-mod and add-mod.
-func (h *Universal2) Column(u uint64) int {
-	v := linearMod(h.a, u, h.b)
-	if h.mode == ModeModulo {
-		return int(v % h.k)
-	}
-	hi, _ := bits.Mul64(v<<3, h.k)
-	return int(hi)
-}
+func (h *Universal2) Column(u uint64) int { return h.bucket(linearMod(h.a, u, h.b)) }
 
 // linearMod returns (a·u + b) mod p for a, u, b < p with a single fold.
 // Because a, u < 2^61 the product is below 2^122, so its high word is below

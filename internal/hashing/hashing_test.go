@@ -80,6 +80,12 @@ func TestNewUniversal2Validation(t *testing.T) {
 	if _, err := NewUniversal2(10, nil); err == nil {
 		t.Error("NewUniversal2 with nil rng should fail")
 	}
+	if _, err := NewUniversal2(maxBuckets+1, r); err == nil {
+		t.Error("NewUniversal2 above 2^31 buckets should fail")
+	}
+	if _, err := NewUniversal2FromParams(1, 0, maxBuckets+1); err == nil {
+		t.Error("NewUniversal2FromParams above 2^31 buckets should fail")
+	}
 }
 
 func TestUniversal2Range(t *testing.T) {
@@ -275,38 +281,33 @@ func BenchmarkMinWiseImage(b *testing.B) {
 
 // TestColumnsMatchesHash pins the fused row path (Premix once per key,
 // Column per member) against the per-row reference Hash bit-for-bit, over
-// randomized shapes and keys, both bucket maps, and bucket counts up to the
-// fastrange limit (k near 2^31 exercises the scaled multiply's top end).
+// randomized shapes and keys and bucket counts up to the limit (k near 2^31
+// exercises the scaled multiply's top end).
 func TestColumnsMatchesHash(t *testing.T) {
 	r := rng.New(99)
 	ks := []int{1, 2, 3, 7, 10, 1000, 1 << 20, (1 << 31) - 1, 1 << 31}
-	for _, mode := range []Mode{ModeModulo, ModeFastrange} {
-		for _, k := range ks {
-			for _, s := range []int{1, 4, 17} {
-				f, err := NewFamilyMode(s, k, r, mode)
-				if err != nil {
-					t.Fatal(err)
+	for _, k := range ks {
+		for _, s := range []int{1, 4, 17} {
+			f, err := NewFamily(s, k, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fns := f.Members()
+			for trial := 0; trial < 200; trial++ {
+				x := r.Uint64()
+				if trial < 4 {
+					// Also cover structured keys: 0, 1, p, ^0.
+					x = []uint64{0, 1, MersennePrime, ^uint64(0)}[trial]
 				}
-				if f.Mode() != mode {
-					t.Fatalf("family mode %v, want %v", f.Mode(), mode)
-				}
-				fns := f.Members()
-				for trial := 0; trial < 200; trial++ {
-					x := r.Uint64()
-					if trial < 4 {
-						// Also cover structured keys: 0, 1, p, ^0.
-						x = []uint64{0, 1, MersennePrime, ^uint64(0)}[trial]
+				u := Premix(x)
+				for row := 0; row < s; row++ {
+					want := f.Hash(row, x)
+					if got := fns[row].Column(u); got != want {
+						t.Fatalf("k=%d s=%d row %d key %#x: Column %d != Hash %d",
+							k, s, row, x, got, want)
 					}
-					u := Premix(x)
-					for row := 0; row < s; row++ {
-						want := f.Hash(row, x)
-						if got := fns[row].Column(u); got != want {
-							t.Fatalf("mode %v k=%d s=%d row %d key %#x: Column %d != Hash %d",
-								mode, k, s, row, x, got, want)
-						}
-						if want < 0 || want >= k {
-							t.Fatalf("mode %v k=%d: bucket %d out of range", mode, k, want)
-						}
+					if want < 0 || want >= k {
+						t.Fatalf("k=%d: bucket %d out of range", k, want)
 					}
 				}
 			}
@@ -314,39 +315,12 @@ func TestColumnsMatchesHash(t *testing.T) {
 	}
 }
 
-// TestModesDisagree: for a non-trivial bucket count the two maps must be
-// genuinely different functions of the same (a, b) parameters — otherwise
-// the mode versioning would be guarding nothing.
-func TestModesDisagree(t *testing.T) {
-	r := rng.New(5)
-	fm, err := NewFamilyMode(4, 1000, r, ModeModulo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := NewFamilyFromParamsMode(fm.Params(), 1000, ModeFastrange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := 0
-	for x := uint64(0); x < 1000; x++ {
-		for row := 0; row < 4; row++ {
-			if fm.Hash(row, x) != ff.Hash(row, x) {
-				diff++
-			}
-		}
-	}
-	if diff == 0 {
-		t.Fatal("modulo and fastrange agreed on every key; modes are not distinct maps")
-	}
-}
-
-// TestFastrangeUniform: the fastrange map composed with the family stays
-// statistically uniform (the same chi-square criterion the modulo map
-// passes).
+// TestFastrangeUniform: the multiply-shift (fastrange) bucket map composed
+// with the family stays statistically uniform over random keys.
 func TestFastrangeUniform(t *testing.T) {
 	const k, draws = 64, 200000
 	r := rng.New(11)
-	h, err := NewUniversal2Mode(k, r, ModeFastrange)
+	h, err := NewUniversal2(k, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,51 +340,42 @@ func TestFastrangeUniform(t *testing.T) {
 	}
 }
 
-// TestFamilyFromParamsModeRoundTrip: params + mode reconstruct the exact
-// family under both modes.
+// TestFamilyFromParamsModeRoundTrip: a family's params reconstruct the
+// exact family under the one bucket map.
 func TestFamilyFromParamsModeRoundTrip(t *testing.T) {
 	r := rng.New(3)
-	for _, mode := range []Mode{ModeModulo, ModeFastrange} {
-		f, err := NewFamilyMode(3, 777, r, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewFamilyFromParamsMode(f.Params(), 777, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.Mode() != mode {
-			t.Fatalf("mode %v lost in round trip", mode)
-		}
-		for x := uint64(0); x < 500; x++ {
-			for row := 0; row < 3; row++ {
-				if f.Hash(row, x) != g.Hash(row, x) {
-					t.Fatalf("mode %v: reconstructed family diverged at key %d", mode, x)
-				}
+	f, err := NewFamily(3, 777, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := NewFamilyFromParams(f.Params(), 777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := uint64(0); x < 500; x++ {
+		for row := 0; row < 3; row++ {
+			if f.Hash(row, x) != g.Hash(row, x) {
+				t.Fatalf("reconstructed family diverged at key %d", x)
 			}
 		}
 	}
 }
 
 func BenchmarkFamilyColumns(b *testing.B) {
-	for _, mode := range []Mode{ModeModulo, ModeFastrange} {
-		b.Run(mode.String(), func(b *testing.B) {
-			f, err := NewFamilyMode(5, 1024, rng.New(1), mode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fns := f.Members()
-			var sink int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				u := Premix(uint64(i))
-				for r := range fns {
-					sink += fns[r].Column(u)
-				}
-			}
-			_ = sink
-		})
+	f, err := NewFamily(5, 1024, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
 	}
+	fns := f.Members()
+	var sink int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := Premix(uint64(i))
+		for r := range fns {
+			sink += fns[r].Column(u)
+		}
+	}
+	_ = sink
 }
 
 // TestLinearModMatchesMulAdd pins the one-fold linear step against the

@@ -5,10 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"nodesampling/internal/cms"
-	"nodesampling/internal/rng"
-	"nodesampling/internal/shard"
 )
 
 func peerConfig(self uint64) Config {
@@ -213,98 +209,6 @@ func TestInjectFloodIsAbsorbed(t *testing.T) {
 	}
 	if sybilSlots == len(mem) {
 		t.Fatalf("memory fully captured by sybil ids: %v", mem)
-	}
-}
-
-// TestPeerFeedsSink wires a peer to a sharded pool sink: received batches
-// must land in the pool instead of a peer-local sampler, and Sample/Memory
-// must answer through the sink.
-func TestPeerFeedsSink(t *testing.T) {
-	pool, err := shard.New(shard.Config{
-		Shards:   4,
-		Buffer:   16,
-		Block:    true,
-		Seed:     5,
-		Capacity: 10,
-		NewSketch: func(r *rng.Xoshiro) (*cms.Sketch, error) {
-			return cms.NewWithDimensions(8, 4, r)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	front, err := NewPeer(Config{Self: 1, Sink: pool, Fanout: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer front.Close()
-	sender, err := NewPeer(peerConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sender.Close()
-	a, b := net.Pipe()
-	if err := front.AddConn(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.AddConn(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if _, err := sender.PushRound(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "ids to reach the pool", func() bool {
-		return pool.Stats().Processed > 0
-	})
-	if id, ok := front.Sample(); !ok || id != 7 {
-		t.Fatalf("front sample = (%d, %v), want the sender id 7", id, ok)
-	}
-	mem := front.Memory()
-	if len(mem) == 0 || mem[0] != 7 {
-		t.Fatalf("front memory = %v, want the sender id", mem)
-	}
-	// The front-end still records stream statistics itself.
-	if front.InputStats()[7] == 0 {
-		t.Fatal("front did not record input stats")
-	}
-}
-
-func TestDisableInputStats(t *testing.T) {
-	sink := &sinkOnly{}
-	p, err := NewPeer(Config{Self: 1, Sink: sink, Fanout: 1, Seed: 4, DisableInputStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	p.ingest([]uint64{10, 11, 12})
-	if stats := p.InputStats(); stats != nil {
-		t.Fatalf("InputStats = %v, want nil when disabled", stats)
-	}
-	if sink.n != 3 {
-		t.Fatalf("sink received %d ids, want 3", sink.n)
-	}
-}
-
-// sinkOnly is a BatchSink without SampleSource, to pin down the degraded
-// behaviour of Sample/Memory on a pure forwarding front-end.
-type sinkOnly struct{ n int }
-
-func (s *sinkOnly) PushBatch(ids []uint64) error { s.n += len(ids); return nil }
-
-func TestPeerWithSampleBlindSink(t *testing.T) {
-	p, err := NewPeer(Config{Self: 1, Sink: &sinkOnly{}, Fanout: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, ok := p.Sample(); ok {
-		t.Fatal("sample ok on a sample-blind sink")
-	}
-	if mem := p.Memory(); mem != nil {
-		t.Fatalf("memory = %v, want nil", mem)
 	}
 }
 

@@ -12,41 +12,12 @@ import (
 	"nodesampling/internal/rng"
 )
 
-// BatchSink absorbs batches of received identifiers in place of the peer's
-// own single-goroutine sampler — typically a sharded ingestion pool
-// (internal/shard) that scales to traffic one sampler cannot absorb. The
-// slice is valid only for the duration of the call and is reused for the
-// next wire batch: a sink must copy anything it keeps. (shard.Pool.PushBatch
-// already copies ids into its own pooled payloads, so it satisfies the
-// contract for free.)
-type BatchSink interface {
-	PushBatch(ids []uint64) error
-}
-
-// SampleSource is optionally implemented by sinks that can answer samples
-// (internal/shard.Pool does); a peer with such a sink keeps serving Sample
-// and Memory transparently.
-type SampleSource interface {
-	Sample() (uint64, bool)
-	Memory() []uint64
-}
-
 // Config parameterises a peer.
 type Config struct {
 	// Self is this node's identifier, gossiped to neighbours every round.
 	Self uint64
 	// C, K, S size the knowledge-free sampler (memory and sketch shape).
-	// Ignored when Sink is set.
 	C, K, S int
-	// Sink, when non-nil, receives every decoded batch instead of the
-	// peer-local sampler: the peer becomes a network front-end feeding a
-	// shared (typically sharded) sampling pool.
-	Sink BatchSink
-	// DisableInputStats turns off the exact received-id histogram. The
-	// histogram is an unbounded map keyed by distinct id — fine for
-	// simulations and tests, but a daemon on a public listener must not
-	// keep exact state an attacker can grow one entry per Sybil id.
-	DisableInputStats bool
 	// Fanout is how many neighbours receive a batch per PushRound.
 	Fanout int
 	// ForwardBuffer is the number of recently heard ids re-gossiped along
@@ -59,7 +30,7 @@ type Config struct {
 }
 
 func (c Config) validate() error {
-	if c.Sink == nil && (c.C < 1 || c.K < 1 || c.S < 1) {
+	if c.C < 1 || c.K < 1 || c.S < 1 {
 		return fmt.Errorf("netgossip: invalid sampler sizing c=%d k=%d s=%d", c.C, c.K, c.S)
 	}
 	if c.Fanout < 1 {
@@ -76,7 +47,10 @@ func (c Config) validate() error {
 
 // Peer is one node of the gossip overlay: it owns a set of connections, a
 // knowledge-free sampler fed by everything received, and a forward buffer
-// for rumor mongering. All methods are safe for concurrent use.
+// for rumor mongering. All methods are safe for concurrent use. It also
+// keeps an exact histogram of received ids (InputStats), which grows one
+// entry per distinct id: Peer serves simulations and examples, and a
+// public listener belongs to the daemon's stream handler instead.
 type Peer struct {
 	cfg Config
 
@@ -98,19 +72,15 @@ func NewPeer(cfg Config) (*Peer, error) {
 		return nil, err
 	}
 	r := rng.New(cfg.Seed)
+	sampler, err := core.NewKnowledgeFree(cfg.C, cfg.K, cfg.S, r.Split())
+	if err != nil {
+		return nil, err
+	}
 	p := &Peer{
-		cfg: cfg,
-		r:   r,
-	}
-	if !cfg.DisableInputStats {
-		p.input = metrics.NewHistogram()
-	}
-	if cfg.Sink == nil {
-		sampler, err := core.NewKnowledgeFree(cfg.C, cfg.K, cfg.S, r.Split())
-		if err != nil {
-			return nil, err
-		}
-		p.sampler = sampler
+		cfg:     cfg,
+		r:       r,
+		sampler: sampler,
+		input:   metrics.NewHistogram(),
 	}
 	if cfg.ForwardBuffer > 0 {
 		p.forward = make([]uint64, 0, cfg.ForwardBuffer)
@@ -150,8 +120,8 @@ func (p *Peer) readLoop(conn net.Conn) {
 	defer p.readers.Done()
 	// One buffer-reusing decoder per connection: a sustained batch flood
 	// costs no per-frame allocations. Every consumer below (the histogram,
-	// the sampler, the forward ring, the sink per its contract) copies what
-	// it keeps before the next Read overwrites the buffer.
+	// the sampler, the forward ring) copies what it keeps before the next
+	// Read overwrites the buffer.
 	fr := NewFrameReader(conn)
 	for {
 		f, err := fr.Read()
@@ -178,40 +148,25 @@ func (p *Peer) readLoop(conn net.Conn) {
 	}
 }
 
-// ingest feeds received ids into the sampler (or sink), stream statistics
-// and the forward buffer. The sink push happens outside the peer lock so a
-// pool applying backpressure never stalls concurrent peer operations.
+// ingest feeds received ids into the sampler, the stream statistics and
+// the forward buffer.
 func (p *Peer) ingest(ids []uint64) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return
 	}
-	// A pure forwarding front-end (sink set, stats disabled, no rumor
-	// mongering) must not spin per-id under the peer lock.
-	if p.input != nil || p.sampler != nil || cap(p.forward) > 0 {
-		for _, id := range ids {
-			if p.input != nil {
-				p.input.Add(id)
-			}
-			if p.sampler != nil {
-				p.sampler.Process(id)
-			}
-			if cap(p.forward) > 0 {
-				if len(p.forward) < cap(p.forward) {
-					p.forward = append(p.forward, id)
-				} else {
-					p.forward[p.fwdPos] = id
-					p.fwdPos = (p.fwdPos + 1) % cap(p.forward)
-				}
+	for _, id := range ids {
+		p.input.Add(id)
+		p.sampler.Process(id)
+		if cap(p.forward) > 0 {
+			if len(p.forward) < cap(p.forward) {
+				p.forward = append(p.forward, id)
+			} else {
+				p.forward[p.fwdPos] = id
+				p.fwdPos = (p.fwdPos + 1) % cap(p.forward)
 			}
 		}
-	}
-	p.mu.Unlock()
-	if p.cfg.Sink != nil {
-		// A closed or overloaded sink only costs stream elements, which a
-		// sampling service can always afford; the connection stays up.
-		_ = p.cfg.Sink.PushBatch(ids)
 	}
 }
 
@@ -283,43 +238,24 @@ func (p *Peer) Inject(ids []uint64) error {
 	return nil
 }
 
-// Sample returns the sampling service's current uniform sample. With a
-// sink configured it delegates to the sink when that sink can answer
-// (SampleSource); otherwise ok is always false.
+// Sample returns the sampling service's current uniform sample.
 func (p *Peer) Sample() (uint64, bool) {
-	if p.cfg.Sink != nil {
-		if src, ok := p.cfg.Sink.(SampleSource); ok {
-			return src.Sample()
-		}
-		return 0, false
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.sampler.Sample()
 }
 
-// Memory returns a copy of the sampler's memory Γ (the sink's, when a
-// SampleSource sink is configured).
+// Memory returns a copy of the sampler's memory Γ.
 func (p *Peer) Memory() []uint64 {
-	if p.cfg.Sink != nil {
-		if src, ok := p.cfg.Sink.(SampleSource); ok {
-			return src.Memory()
-		}
-		return nil
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.sampler.Memory()
 }
 
-// InputStats returns a snapshot of the received-id histogram; nil when the
-// peer was created with DisableInputStats.
+// InputStats returns a snapshot of the received-id histogram.
 func (p *Peer) InputStats() map[uint64]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.input == nil {
-		return nil
-	}
 	return p.input.Counts()
 }
 
@@ -358,17 +294,6 @@ func (p *Peer) Listen(addr string) (net.Listener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netgossip: listen: %w", err)
 	}
-	p.Serve(ln)
-	return ln, nil
-}
-
-// Serve accepts connections from an existing listener and adds each to the
-// peer until the listener fails (e.g. because it was closed). It is Listen
-// for callers that construct the listener themselves — a tls.NewListener
-// wrap, a unix socket, an in-memory pipe listener in tests. The accept loop
-// runs in a background goroutine that exits with the listener; the caller
-// keeps ownership of ln and closes it to stop serving.
-func (p *Peer) Serve(ln net.Listener) {
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -381,6 +306,7 @@ func (p *Peer) Serve(ln net.Listener) {
 			}
 		}
 	}()
+	return ln, nil
 }
 
 // Connect dials a TCP neighbour and adds the connection.

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"nodesampling/internal/core"
 	"nodesampling/internal/rng"
 )
 
@@ -151,14 +150,10 @@ func (p *Pool) ImportState(ids []uint64, state []byte) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
-	factory, err := core.RestoreFactory(p.strategy, p.cfg.CoreOptions...)
-	if err != nil {
-		return fmt.Errorf("shard: import state: %w", err)
-	}
 	p.rmu.Lock()
 	r := p.r.Split()
 	p.rmu.Unlock()
-	incoming, err := factory.Restore(p.cfg.Capacity, state, r)
+	incoming, err := p.cfg.Sampler.Restore(p.cfg.Capacity, state, r)
 	if err != nil {
 		return fmt.Errorf("shard: import state: %w", err)
 	}

@@ -199,3 +199,18 @@ func TestPooledBuffersNoAliasing(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkRingRoundTrip measures one uncontended enqueue/dequeue pair on
+// the shard ingest ring at a 64-slot capacity.
+func BenchmarkRingRoundTrip(b *testing.B) {
+	q := newRing(64)
+	it := ringItem{ids: []uint64{1}}
+	for i := 0; i < b.N; i++ {
+		if !q.tryPush(it) {
+			b.Fatal("push into an empty ring failed")
+		}
+		if _, ok := q.tryPop(); !ok {
+			b.Fatal("pop after a push failed")
+		}
+	}
+}

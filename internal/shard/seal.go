@@ -14,7 +14,7 @@ import (
 //	magic "UNSE" | version (uint32) | nonce (12 bytes) | AES-256-GCM ciphertext+tag
 //
 // The envelope wraps a complete plaintext snapshot blob (magic "UNSS"):
-// the ciphertext is the whole v1 blob, the GCM tag authenticates it, and
+// the ciphertext is that whole blob, the GCM tag authenticates it, and
 // the 8-byte header rides along as additional authenticated data so a
 // tampered magic or version fails the open, not the inner parser. The
 // plaintext blob embeds the pool's secret partition salt — the reason the

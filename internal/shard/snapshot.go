@@ -20,10 +20,9 @@ import (
 //	    gammaLen (uint32) | gammaLen × id (uint64)
 //	    stateLen (uint32) | sampler state (core.PoolSampler.MarshalState)
 //
-// Version 1 blobs (written before the strategy layer) lack the strategy
-// field and are read as the default knowledge-free strategy; their shard
-// records carry raw cms.Sketch bytes, which is exactly what the
-// knowledge-free MarshalState emits, so v1 bodies parse unchanged.
+// Version 2 is the one version Snapshot writes and Restore reads. Version 1
+// blobs (written before the strategy layer, without the strategy field) are
+// refused with ErrSnapshotV1, any other version with a plain error.
 //
 // The blob is self-contained: it carries the strategy name, the shard map
 // (keys + epoch), the private partition salt, every shard's Γ and
@@ -39,6 +38,10 @@ const (
 	// cannot demand an absurd allocation.
 	maxStrategyLen = 64
 )
+
+// ErrSnapshotV1 refuses a version 1 snapshot: the pre-strategy layout,
+// which carries no strategy tag.
+var ErrSnapshotV1 = errors.New("shard: version 1 (pre-strategy) snapshot can no longer be restored")
 
 // Snapshot serialises the pool — strategy name, shard map, per-shard
 // sampler state and Γ, decay epoch and aggregate counters — into one
@@ -128,18 +131,14 @@ func (r *snapshotReader) bytes(n int) ([]byte, error) {
 // Restore rebuilds a live pool from a Snapshot blob. The snapshot governs
 // the shard count, memory capacity, shard map and sampler state (cfg.Shards
 // and cfg.Capacity are ignored); cfg supplies everything a snapshot does
-// not persist — queueing, backpressure, decay period, core options and
-// fresh randomness.
+// not persist — the sampler strategy, queueing, backpressure, decay period
+// and fresh randomness.
 //
-// The strategy recorded in the blob must match the configured one: a blob
-// written under strategy A refuses to restore into a pool configured for
-// strategy B (and a pre-v2 blob, which implies the default knowledge-free
-// strategy, refuses any other), naming both strategies. When the config
-// names no strategy at all (no Sampler factory, no NewSketch hook), the
-// snapshot governs the strategy too. When a factory or sketch hook is
-// configured it also validates that the configured state shape matches the
-// snapshot, so a daemon restarted with different flags fails loudly instead
-// of serving surprising estimates.
+// The strategy recorded in the blob must match cfg.Sampler: a blob written
+// under strategy A refuses to restore into a pool configured for strategy B,
+// naming both. The configured state shape must match the snapshot's too, so
+// a daemon restarted with different flags fails loudly instead of serving
+// surprising estimates.
 func Restore(cfg Config, data []byte) (*Pool, error) {
 	if err := cfg.validateCommon(); err != nil {
 		return nil, err
@@ -162,41 +161,28 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 	if err != nil {
 		return nil, err
 	}
-	strategy := core.DefaultStrategy
 	switch version {
+	case snapshotVersion:
 	case 1:
-		// Pre-strategy blob: implies the default strategy, no tag to read.
-	case 2:
-		strategyLen, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if strategyLen == 0 || strategyLen > maxStrategyLen {
-			return nil, fmt.Errorf("shard: snapshot strategy name length %d outside [1, %d]", strategyLen, maxStrategyLen)
-		}
-		name, err := r.bytes(int(strategyLen))
-		if err != nil {
-			return nil, err
-		}
-		strategy = string(name)
+		return nil, ErrSnapshotV1
 	default:
 		return nil, fmt.Errorf("shard: unsupported snapshot version %d", version)
 	}
-	factory, configured := cfg.samplerFactory()
-	if configured && factory.Name != strategy {
-		if version == 1 {
-			return nil, fmt.Errorf("shard: pre-v2 snapshot carries no strategy tag and implies %q, but the pool is configured for strategy %q",
-				strategy, factory.Name)
-		}
+	strategyLen, err := r.u32()
+	if err != nil {
+		return nil, err
+	}
+	if strategyLen == 0 || strategyLen > maxStrategyLen {
+		return nil, fmt.Errorf("shard: snapshot strategy name length %d outside [1, %d]", strategyLen, maxStrategyLen)
+	}
+	strategy, err := r.bytes(int(strategyLen))
+	if err != nil {
+		return nil, err
+	}
+	factory := cfg.Sampler
+	if factory.Name != string(strategy) {
 		return nil, fmt.Errorf("shard: snapshot was written by strategy %q, but the pool is configured for strategy %q",
 			strategy, factory.Name)
-	}
-	if !configured {
-		// The snapshot governs the strategy; only per-sampler options carry
-		// over from the config.
-		if factory, err = core.RestoreFactory(strategy, cfg.CoreOptions...); err != nil {
-			return nil, fmt.Errorf("shard: snapshot strategy: %w", err)
-		}
 	}
 	var hdr [5]uint64
 	for i := range hdr {
@@ -227,12 +213,10 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 	}
 
 	root := rng.New(cfg.Seed)
-	var template core.PoolSampler
-	if configured {
-		if template, err = factory.New(capacity, root.Split()); err != nil {
-			return nil, fmt.Errorf("shard: sampler template: %w", err)
-		}
-	}
+	// The configured template is built only once shard 0's state has been
+	// read, so its size follows the blob's content, not the declared
+	// capacity; its generator is split here to keep the split order fixed.
+	templateRNG := root.Split()
 
 	keys := make([]uint64, shards)
 	workers := make([]*worker, shards)
@@ -277,7 +261,11 @@ func Restore(cfg Config, data []byte) (*Pool, error) {
 		}
 		if family == nil {
 			family = sampler
-			if template != nil && template.StateDesc() != sampler.StateDesc() {
+			template, err := factory.New(capacity, templateRNG)
+			if err != nil {
+				return nil, fmt.Errorf("shard: sampler template: %w", err)
+			}
+			if template.StateDesc() != sampler.StateDesc() {
 				return nil, fmt.Errorf("shard: configured sampler state %q does not match snapshot %q",
 					template.StateDesc(), sampler.StateDesc())
 			}

@@ -1,8 +1,14 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
+	"nodesampling/internal/cms"
+	"nodesampling/internal/core"
 	"nodesampling/internal/metrics"
 	"nodesampling/internal/rng"
 )
@@ -35,7 +41,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		population := 50 + int(src.Uint64n(400))
 		cfg := Config{
 			Shards: shards, Buffer: 8, Block: true, Seed: seed,
-			Capacity: 30, NewSketch: sketchMaker(64, 4),
+			Capacity: 30, Sampler: kfSampler(64, 4),
 		}
 		p, err := New(cfg)
 		if err != nil {
@@ -63,7 +69,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 		q := restoreFrom(t, p, Config{
 			Buffer: 8, Block: true, Seed: seed + 1,
-			NewSketch: sketchMaker(64, 4),
+			Sampler: kfSampler(64, 4),
 		})
 		if q.NumShards() != p.NumShards() || q.Epoch() != p.Epoch() {
 			t.Fatalf("trial %d: restored shape %d/%d, want %d/%d",
@@ -112,7 +118,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 func TestSnapshotRestoreWithDecay(t *testing.T) {
 	cfg := Config{
 		Shards: 4, Buffer: 8, Block: true, Seed: 21,
-		Capacity: 10, NewSketch: sketchMaker(16, 4), DecayEvery: 500,
+		Capacity: 10, Sampler: kfSampler(16, 4), DecayEvery: 500,
 	}
 	p, err := New(cfg)
 	if err != nil {
@@ -134,7 +140,7 @@ func TestSnapshotRestoreWithDecay(t *testing.T) {
 	}
 	q := restoreFrom(t, p, Config{
 		Buffer: 8, Block: true, Seed: 23,
-		NewSketch: sketchMaker(16, 4), DecayEvery: 500,
+		Sampler: kfSampler(16, 4), DecayEvery: 500,
 	})
 	st := q.Stats()
 	for i, s := range st.Shards {
@@ -185,7 +191,7 @@ func TestSnapshotRestoreUniformity(t *testing.T) {
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	q := restoreFrom(t, p, Config{Buffer: 16, Block: true, Seed: 77, NewSketch: sketchMaker(10, 5)})
+	q := restoreFrom(t, p, Config{Buffer: 16, Block: true, Seed: 77, Sampler: kfSampler(10, 5)})
 	byID := metrics.NewHistogram()
 	for i := 0; i < 120000; i++ {
 		id, ok := q.Sample()
@@ -218,7 +224,7 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Buffer: 8, Block: true, NewSketch: sketchMaker(16, 4)}
+	cfg := Config{Buffer: 8, Block: true, Sampler: kfSampler(16, 4)}
 	if _, err := Restore(cfg, nil); err == nil {
 		t.Error("nil blob should fail")
 	}
@@ -236,14 +242,153 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	}
 	// A configured sketch shape that contradicts the snapshot is a
 	// deployment error, not something to silently paper over.
-	mismatch := Config{Buffer: 8, Block: true, NewSketch: sketchMaker(99, 2)}
+	mismatch := Config{Buffer: 8, Block: true, Sampler: kfSampler(99, 2)}
 	if _, err := Restore(mismatch, blob); err == nil {
 		t.Error("sketch shape mismatch should fail")
 	}
-	// Without a sketch hook the snapshot simply governs.
-	q, err := Restore(Config{Buffer: 8, Block: true}, blob)
+	// The configured strategy is required: a blob never picks it.
+	if _, err := Restore(Config{Buffer: 8, Block: true}, blob); err == nil {
+		t.Error("restore without a configured sampler strategy should fail")
+	}
+	q, err := Restore(cfg, blob)
 	if err != nil {
-		t.Fatalf("hookless restore: %v", err)
+		t.Fatal(err)
 	}
 	_ = q.Close()
+}
+
+// goldenConfig is the pool behind goldenSnapshot: two shards, c=3, a 4×2
+// sketch, seed 3.
+func goldenConfig() Config {
+	return Config{Shards: 2, Buffer: 4, Block: true, Seed: 3, Capacity: 3, Sampler: kfSampler(4, 2)}
+}
+
+// goldenSnapshot is the snapshot of goldenConfig's pool after one batch of
+// i mod 9 + 1 for i in [0, 30) and a Flush. The bytes were captured before
+// the v1 snapshot reader and the modulo bucket map were deleted; they pin
+// that the written format did not move.
+const goldenSnapshot = "" +
+	"554e5353000000020000000e6b6e6f776c656467652d66726565a3fd1dea5e18" +
+	"64ee000000000000000000000000000000000000000000000000000000000000" +
+	"0000000000030000000237e00afb3229fd510000000000000000000000000000" +
+	"0011000000000000000000000003000000000000000100000000000000030000" +
+	"00000000000500000084434d534b000000020000000100000000000000020000" +
+	"000000000004000000000000001105758f638538758a154c5d85e8d6dc161e3d" +
+	"a944cad1bf2d1050f03456e05ca5000000000000000d00000000000000040000" +
+	"0000000000000000000000000000000000000000000300000000000000070000" +
+	"00000000000000000000000000076cb24c8fb224980a00000000000000000000" +
+	"00000000000d0000000000000000000000030000000000000002000000000000" +
+	"0004000000000000000600000084434d534b0000000200000001000000000000" +
+	"00020000000000000004000000000000000d05758f638538758a154c5d85e8d6" +
+	"dc161e3da944cad1bf2d1050f03456e05ca50000000000000004000000000000" +
+	"0003000000000000000000000000000000060000000000000000000000000000" +
+	"000600000000000000000000000000000007"
+
+// TestSnapshotGoldenBytes: a fixed-seed pool snapshots to exactly the
+// golden bytes, and restoring those bytes snapshots back to them unchanged.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	p, err := New(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	ids := make([]uint64, 30)
+	for i := range ids {
+		ids[i] = uint64(i%9) + 1
+	}
+	if err := p.PushBatch(ids); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := p.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(blob); got != goldenSnapshot {
+		t.Fatalf("snapshot bytes moved:\n got %s\nwant %s", got, goldenSnapshot)
+	}
+	q := restoreFrom(t, p, goldenConfig())
+	again, err := q.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, blob) {
+		t.Fatal("restored golden snapshot re-snapshots to different bytes")
+	}
+}
+
+// emptyShardsSnapshot hand-builds a well-formed knowledge-free snapshot
+// that declares the largest capacity Restore accepts but carries nothing:
+// every shard has an empty Γ and a 1×1 sketch.
+func emptyShardsSnapshot(t *testing.T, shards int) []byte {
+	t.Helper()
+	sk, err := cms.NewWithDimensions(1, 1, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := binary.BigEndian.AppendUint32([]byte(snapshotMagic), snapshotVersion)
+	blob = binary.BigEndian.AppendUint32(blob, uint32(len(core.DefaultStrategy)))
+	blob = append(blob, core.DefaultStrategy...)
+	blob = append(blob, make([]byte, 5*8)...) // salt, epoch, decay, retired counters
+	blob = binary.BigEndian.AppendUint32(blob, 1<<20)
+	blob = binary.BigEndian.AppendUint32(blob, uint32(shards))
+	for i := 0; i < shards; i++ {
+		blob = binary.BigEndian.AppendUint64(blob, uint64(i+1)) // shard key
+		blob = append(blob, make([]byte, 3*8+4)...)             // counters, empty Γ
+		blob = binary.BigEndian.AppendUint32(blob, uint32(len(state)))
+		blob = append(blob, state...)
+	}
+	return blob
+}
+
+// TestRestoreAllocationFollowsContent: a snapshot declaring capacity 2^20
+// over 16 empty shards is under 2 KiB, and restoring it must allocate on
+// the order of its content, not 16 memories pre-sized to the declared
+// capacity (about 88 MiB each).
+func TestRestoreAllocationFollowsContent(t *testing.T) {
+	blob := emptyShardsSnapshot(t, 16)
+	cfg := Config{Buffer: 4, Block: true, Sampler: kfSampler(1, 1)}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := Restore(cfg, blob)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = p.Close() })
+	if p.NumShards() != 16 || len(p.Memory()) != 0 {
+		t.Fatalf("restored %d shards holding %d ids, want 16 empty shards", p.NumShards(), len(p.Memory()))
+	}
+	const limit = 4 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("restoring a %d-byte snapshot allocated %d bytes, want at most %d", len(blob), got, limit)
+	}
+}
+
+// FuzzRestoreSnapshot feeds arbitrary bytes to Restore: it must never
+// panic, and whatever it accepts must be a live pool that closes cleanly.
+func FuzzRestoreSnapshot(f *testing.F) {
+	golden, err := hex.DecodeString(goldenSnapshot)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte(snapshotMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Restore(goldenConfig(), data)
+		if err != nil {
+			return
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

