@@ -1485,7 +1485,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	for _, addr := range strings.Split(*connect, ",") {
 		if addr = strings.TrimSpace(addr); addr != "" {
-			conn, err := net.Dial("tcp", addr)
+			conn, err := netgossip.DialConn(addr, nil, connectDialTimeout)
 			if err != nil {
 				return fmt.Errorf("connect %s: %w", addr, err)
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -437,6 +438,26 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-autoscale-interval", "-1s"}, &sb); err == nil {
 		t.Error("negative autoscale interval should fail")
+	}
+}
+
+// TestConnectRefusedFailsStartup: a -connect peer that refuses the dial
+// fails startup with an error naming the peer's address, after the
+// bounded dial rather than a hang.
+func TestConnectRefusedFailsStartup(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close() // nothing listens there now: the dial is refused
+	var sb safeBuilder
+	err = run(context.Background(), []string{"-http", "127.0.0.1:0", "-connect", addr}, &sb)
+	if err == nil {
+		t.Fatal("startup with a refused -connect peer succeeded")
+	}
+	if !strings.Contains(err.Error(), addr) {
+		t.Fatalf("startup error %q does not name the peer %s", err, addr)
 	}
 }
 

@@ -39,8 +39,11 @@ func newResumeToken() uint64 {
 // streamIdleTimeout, and even a subscribed connection must show some
 // inbound life (a Ping suffices) within streamSubscribedIdleTimeout, so an
 // attacker cannot pin goroutines and fds by opening connections and going
-// silent. maxStreamConns bounds the total either way.
+// silent. maxStreamConns bounds the total either way. connectDialTimeout
+// bounds each -connect dial at startup, so a blackholed peer fails the boot
+// promptly instead of after the operating system's connect timeout.
 const (
+	connectDialTimeout          = 10 * time.Second
 	maxSubscribeBuffer          = 65536
 	maxStreamConns              = 4096
 	streamWriteTimeout          = 30 * time.Second
@@ -247,21 +250,52 @@ func (s *streamServer) drop(conn net.Conn) {
 }
 
 // connWriter serialises frame writes from the read loop (sample responses,
-// pongs, errors) and the subscription writer onto one connection. Every
-// write carries a deadline so a stalled subscriber's TCP window cannot pin
-// the goroutine forever.
+// pongs, errors) and the subscription writer onto one connection. Frames
+// are encoded into one buffer the writer reuses, and every write carries a
+// deadline so a stalled subscriber's TCP window cannot pin the goroutine
+// forever.
 type connWriter struct {
 	mu   sync.Mutex
 	conn net.Conn
+	buf  []byte
 }
 
 func (w *connWriter) write(f netgossip.Frame) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	buf, err := netgossip.AppendFrame(w.buf[:0], f)
+	if err != nil {
+		return err
+	}
+	return w.send(buf)
+}
+
+// writeStream frames ids as StreamData frames of at most MaxBatch ids each
+// and puts them on the wire in a single write.
+func (w *connWriter) writeStream(ids []uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	buf := w.buf[:0]
+	for len(ids) > 0 {
+		n := min(len(ids), netgossip.MaxBatch)
+		var err error
+		if buf, err = netgossip.AppendFrame(buf, netgossip.Frame{Type: netgossip.FrameStreamData, IDs: ids[:n]}); err != nil {
+			return err
+		}
+		ids = ids[n:]
+	}
+	return w.send(buf)
+}
+
+// send writes one encoded buffer under the write deadline and keeps it for
+// reuse. The caller holds mu.
+func (w *connWriter) send(buf []byte) error {
+	w.buf = buf
 	if err := w.conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout)); err != nil {
 		return err
 	}
-	return netgossip.WriteFrame(w.conn, f)
+	_, err := w.conn.Write(buf)
+	return err
 }
 
 // handle runs one framed connection until protocol error, read failure or
@@ -415,7 +449,7 @@ func (s *streamServer) handle(conn net.Conn) {
 				initialSeen, _ = s.takeResume(f.Token)
 			}
 			var err error
-			sub, err = s.d.pool.SubscribeWith(subhub.SubOptions{
+			sub, err = s.d.pool.SubscribeBatch(subhub.SubOptions{
 				Capacity:    capacity,
 				Every:       every,
 				RatePerSec:  f.Rate,
@@ -455,40 +489,31 @@ func (s *streamServer) handle(conn net.Conn) {
 	}
 }
 
-// streamWriter forwards a subscription's σ′ draws as StreamData frames,
-// batching greedily: after a blocking read it drains whatever else is
-// already buffered (up to the wire limit) into the same frame, so a fast
-// stream costs one syscall per burst rather than per id. Exits when the
-// subscription is cancelled or the connection dies.
+// streamWriter forwards a subscription's σ′ draws as StreamData frames. Each
+// Next takes everything the subscription has buffered — typically one
+// pushed batch's draws — and the take goes out framed in one write, so a
+// fast stream costs one syscall per take rather than per id or per frame.
+// Exits when the subscription ends or the connection dies.
 func streamWriter(sub *subhub.Subscription, w *connWriter, done chan struct{}) {
 	defer close(done)
-	batch := make([]uint64, 0, netgossip.MaxBatch)
+	var ids []uint64
 	for {
-		id, ok := <-sub.C()
-		if !ok {
+		var ok bool
+		if ids, ok = sub.Next(ids); !ok {
 			return
 		}
-		batch = append(batch[:0], id)
-	fill:
-		for len(batch) < cap(batch) {
-			select {
-			case id, ok := <-sub.C():
-				if !ok {
-					break fill
-				}
-				batch = append(batch, id)
-			default:
-				break fill
-			}
-		}
-		if err := w.write(netgossip.Frame{Type: netgossip.FrameStreamData, IDs: batch}); err != nil {
+		if err := w.writeStream(ids); err != nil {
 			// The connection is gone, or the subscriber stalled past the
 			// write deadline — in which case a partial write may have left a
 			// truncated frame on the wire, so the connection is unusable
 			// either way. Drop it (the read loop then unwinds) and cancel
-			// the subscription so the hub accounts the rest as drops.
+			// the subscription, then take what the cut left buffered so the
+			// subscription's accounting closes.
 			sub.Cancel()
 			_ = w.conn.Close()
+			for ok {
+				ids, ok = sub.Next(ids)
+			}
 			return
 		}
 	}

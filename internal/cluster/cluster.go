@@ -297,21 +297,54 @@ func (c *Cluster) ApplyPlacement(epoch uint64, from, to, owner int) bool {
 	return true
 }
 
+// partitionTags is the largest batch Partition tags on the stack; a wire
+// batch never exceeds it, and larger in-process batches tag into a heap
+// slice instead.
+const partitionTags = 4096
+
 // Partition splits a batch by owner under the current table: ids this
-// member owns come back in local, the rest grouped per owner member. Both
-// return freshly allocated slices the caller owns (the forward path hands
-// its slices to Forward, which keeps them).
+// member owns come back in local, the rest grouped per owner member, each
+// in input order (a member with no ids gets nil). Every group is a
+// cap-limited window of one freshly allocated backing array the caller
+// owns, so the forward path can hand the remote groups to Forward, which
+// keeps them, and an append to one group never runs into another. A
+// counting pass sizes the groups first, so a batch costs two allocations:
+// the remote table and the backing array.
 func (c *Cluster) Partition(ids []uint64) (local []uint64, remote [][]uint64) {
 	t := c.table.Load()
-	remote = make([][]uint64, len(c.members))
-	for _, id := range ids {
-		o := int(t.owner[shard.PlacementSlot(rng.Mix64(id^c.salt))])
-		if o == c.self {
-			local = append(local, id)
-			continue
-		}
-		remote[o] = append(remote[o], id)
+	n := len(c.members)
+	var tagBuf [partitionTags]uint8
+	var tags []uint8
+	if len(ids) <= len(tagBuf) {
+		tags = tagBuf[:len(ids)]
+	} else {
+		tags = make([]uint8, len(ids))
 	}
+	var cur [MaxMembers]int // per-owner count, then write cursor
+	for i, id := range ids {
+		o := t.owner[shard.PlacementSlot(rng.Mix64(id^c.salt))]
+		tags[i] = o
+		cur[o]++
+	}
+	var start [MaxMembers]int
+	for o, sum := 0, 0; o < n; o++ {
+		start[o] = sum
+		sum += cur[o]
+		cur[o] = start[o]
+	}
+	backing := make([]uint64, len(ids))
+	for i, id := range ids {
+		o := tags[i]
+		backing[cur[o]] = id
+		cur[o]++
+	}
+	remote = make([][]uint64, n)
+	for o := 0; o < n; o++ {
+		if cur[o] > start[o] {
+			remote[o] = backing[start[o]:cur[o]:cur[o]]
+		}
+	}
+	local, remote[c.self] = remote[c.self], nil
 	return local, remote
 }
 

@@ -169,6 +169,100 @@ func TestPartitionUnion(t *testing.T) {
 	}
 }
 
+// partitionReference is the append-based partition Partition replaced:
+// one growing slice per owner, in input order. It is the oracle the
+// counting-sort partition must match.
+func partitionReference(c *Cluster, ids []uint64) (local []uint64, remote [][]uint64) {
+	remote = make([][]uint64, len(c.members))
+	for _, id := range ids {
+		o := c.OwnerOf(id)
+		if o == c.self {
+			local = append(local, id)
+			continue
+		}
+		remote[o] = append(remote[o], id)
+	}
+	return local, remote
+}
+
+// TestPartitionMatchesReference pins the counting-sort partition against
+// the append-based reference — same ids, same per-owner order — for two to
+// four members, every member as self, a migrated placement, and the empty
+// and heap-tagged (oversized) batches. Groups must be cap-limited, so an
+// append to one never overwrites another.
+func TestPartitionMatchesReference(t *testing.T) {
+	addrs := []string{"m0:1", "m1:1", "m2:1", "m3:1"}
+	src := uint64(12345)
+	batch := func(n int) []uint64 {
+		ids := make([]uint64, n)
+		for i := range ids {
+			src = src*6364136223846793005 + 1442695040888963407
+			ids[i] = src >> 7
+		}
+		return ids
+	}
+	check := func(t *testing.T, c *Cluster, ids []uint64) {
+		t.Helper()
+		local, remote := c.Partition(ids)
+		wantLocal, wantRemote := partitionReference(c, ids)
+		if !equalIDs(local, wantLocal) {
+			t.Fatalf("local: %d ids, reference %d (or order differs)", len(local), len(wantLocal))
+		}
+		if len(remote) != len(wantRemote) {
+			t.Fatalf("remote table has %d entries, want %d", len(remote), len(wantRemote))
+		}
+		for o := range remote {
+			if !equalIDs(remote[o], wantRemote[o]) {
+				t.Fatalf("member %d: %d ids, reference %d (or order differs)", o, len(remote[o]), len(wantRemote[o]))
+			}
+			if len(remote[o]) != cap(remote[o]) {
+				t.Fatalf("member %d group not cap-limited: len %d cap %d", o, len(remote[o]), cap(remote[o]))
+			}
+		}
+		if len(local) != cap(local) {
+			t.Fatalf("local group not cap-limited: len %d cap %d", len(local), cap(local))
+		}
+	}
+	for members := 2; members <= 4; members++ {
+		for self := 0; self < members; self++ {
+			c := testCluster(t, addrs[:members], addrs[self], nil)
+			for _, n := range []int{0, 1, 1024, partitionTags + 17} {
+				check(t, c, batch(n))
+			}
+			// Migrate a slot range to the last member and partition again.
+			if !c.ApplyPlacement(1, 100, 2100, members-1) {
+				t.Fatal("placement override refused")
+			}
+			check(t, c, batch(1024))
+		}
+	}
+}
+
+func equalIDs(a, b []uint64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPartitionAllocs pins the partition's allocation budget: the remote
+// table and one backing array per batch, whatever the owner spread.
+func TestPartitionAllocs(t *testing.T) {
+	c := testCluster(t, []string{"m0:1", "m1:1"}, "m0:1", nil)
+	ids := make([]uint64, 1024)
+	for i := range ids {
+		ids[i] = uint64(i) * 2654435761
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.Partition(ids) }); allocs > 2 {
+		t.Fatalf("Partition allocates %.1f times per 1024-id batch, want at most 2", allocs)
+	}
+}
+
 // TestForwardToSelfFallsBack: handing Forward our own index is a caller
 // bug, but the ids must still reach the fallback sink rather than vanish.
 func TestForwardToSelfFallsBack(t *testing.T) {

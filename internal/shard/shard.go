@@ -29,10 +29,12 @@
 //
 // The pool also carries the paper's output surface: while at least one
 // subscription is live (Subscribe), workers draw one σ′ element per
-// ingested id and hand the draws — via a non-blocking pool-level output
-// channel — to a subscription hub (internal/subhub) that fans them out
-// under a drop-oldest policy, so a slow subscriber sheds stream elements
-// instead of slowing ingestion. With Config.DecayEvery set, all shards
+// ingested id into the pushed batch's draw area, and the worker that
+// finishes a batch's last sub-batch hands the whole batch's draws — one
+// unit per pushed batch, via a non-blocking pool-level output channel — to
+// a subscription hub (internal/subhub) that fans them out under a
+// drop-oldest policy, so a slow subscriber sheds stream elements instead
+// of slowing ingestion. With Config.DecayEvery set, all shards
 // apply their strategy's decay step on one global decay epoch derived from
 // the pool-wide ingest count, keeping per-shard frequency estimates
 // comparable.
@@ -98,9 +100,10 @@ type Config struct {
 	// rely on. Required by New and Restore.
 	Sampler core.SamplerFactory
 	// EmitBuffer is the capacity of the pool-level output channel, in draw
-	// batches (default 4 per shard). It bounds how far σ′ generation may run
-	// ahead of the subscription hub; overflow drops whole draw batches
-	// (counted) rather than stalling shard workers.
+	// batches — one per pushed batch (default 4 per shard). It bounds how
+	// far σ′ generation may run ahead of the subscription hub; overflow
+	// drops whole draw batches (counted) rather than stalling shard
+	// workers.
 	EmitBuffer int
 	// DecayEvery, when positive, halves every shard's sketch each time the
 	// pool as a whole has processed that many further ids — a global decay
@@ -112,11 +115,12 @@ type Config struct {
 	// before its estimates are next consulted; a Flush not racing
 	// concurrent pushes leaves every shard at the same epoch.
 	DecayEvery uint64
-	// OnEmitLag, when set, observes the lag in seconds between a shard
-	// worker emitting a σ′ draw batch and the emitter starting its fan-out
-	// — the daemon feeds it a latency histogram. The hook runs on the
-	// emitter goroutine, once per draw batch; it must not block. When nil
-	// (every non-daemon pool), the emit path does not even read the clock.
+	// OnEmitLag, when set, observes the lag in seconds between a pushed
+	// batch's σ′ draws being handed off (by the worker that finished its
+	// last sub-batch) and the emitter starting their fan-out — the daemon
+	// feeds it a latency histogram. The hook runs on the emitter goroutine,
+	// once per emitted batch; it must not block. When nil (every
+	// non-daemon pool), the emit path does not even read the clock.
 	OnEmitLag func(seconds float64)
 }
 
@@ -326,21 +330,27 @@ func (w *worker) run(p *Pool) {
 }
 
 // process runs one id batch through the shard's sampler and releases its
-// payload reference.
+// payload reference. A sub-batch whose payload carries a draw area writes
+// its σ′ draws there, at its own offset; the payload's last releaser emits
+// them with its siblings'. A single-id Push has no payload and emits its
+// draw on its own.
 func (w *worker) process(p *Pool, it ringItem) {
 	n := len(it.ids)
 	sc := it.tc.Start("shard")
-	// Gate σ′ generation on a single atomic load: with no live
-	// subscriber the batch path is exactly the draw-free fast path.
-	emit := p.hub.Active()
 	var dp *[]uint64
 	draws := 0
 	w.mu.Lock()
-	if emit {
+	switch {
+	case it.pl != nil && it.pl.draws != nil:
+		sg := &it.pl.segs[it.seg]
+		area := (*it.pl.draws)[sg.off : sg.off : sg.off+n]
+		draws = len(w.sampler.ProcessBatchEmit(it.ids, area))
+		sg.n = draws
+	case it.pl == nil && p.hub.Active():
 		dp = drawPool.Get().(*[]uint64)
 		*dp = w.sampler.ProcessBatchEmit(it.ids, (*dp)[:0])
 		draws = len(*dp)
-	} else {
+	default:
 		w.sampler.ProcessBatch(it.ids)
 	}
 	if p.cfg.DecayEvery > 0 {
@@ -354,7 +364,7 @@ func (w *worker) process(p *Pool, it ringItem) {
 	w.mu.Unlock()
 	w.processed.Add(uint64(n))
 	if it.pl != nil {
-		it.pl.release()
+		p.release(it.pl, sc)
 	}
 	if dp != nil {
 		if draws > 0 {
@@ -522,11 +532,12 @@ func (p *Pool) start() {
 	go p.emitLoop()
 }
 
-// emitBatch is one shard worker's σ′ draw batch in flight to the emitter:
-// a pooled draw buffer (the emitter returns it to drawPool after the hub
-// fan-out, which copies into subscriber buffers), the hand-off timestamp
-// (zero unless something downstream will read it — the lag histogram hook
-// or a sampled trace) and the open "emit" span covering the queue wait.
+// emitBatch is one pushed batch's σ′ draws (or a single-id Push's draw) in
+// flight to the emitter: a pooled draw buffer (the emitter returns it to
+// drawPool after the hub fan-out, which copies into subscriber buffers),
+// the hand-off timestamp (zero unless something downstream will read it —
+// the lag histogram hook or a sampled trace) and the open "emit" span
+// covering the queue wait.
 type emitBatch struct {
 	dp *[]uint64
 	at int64 // time.Now().UnixNano() at worker hand-off; 0 = unstamped
@@ -554,10 +565,11 @@ func (p *Pool) emitLoop() {
 	p.hub.Close()
 }
 
-// emit hands one shard's draw batch to the emitter without ever blocking a
-// worker: when the output channel is full the batch is dropped and counted.
-// σ′ is a sampling stream, so a lost batch costs nothing a later draw does
-// not replace. sc is the worker's open "shard" span; a sampled batch opens
+// emit hands one batch's draws to the emitter without ever blocking a
+// worker or producer: when the output channel is full the batch is dropped
+// and counted. σ′ is a sampling stream, so a lost batch costs nothing a
+// later draw does not replace. sc is the releaser's open span (a worker's
+// "shard" span, or the ingest span on the drop path); a sampled batch opens
 // an "emit" child covering the queue wait to the emitter.
 func (p *Pool) emit(dp *[]uint64, sc spans.Context) {
 	eb := emitBatch{dp: dp}
@@ -607,6 +619,18 @@ func (p *Pool) SubscribeWith(o subhub.SubOptions) (*subhub.Subscription, error) 
 		return nil, ErrPoolClosed
 	}
 	return p.hub.SubscribeWith(o)
+}
+
+// SubscribeBatch is SubscribeWith for a batch-fed consumer: the
+// subscription is read with Next and has no pump goroutine or delivery
+// channel (subhub.Hub.SubscribeBatch).
+func (p *Pool) SubscribeBatch(o subhub.SubOptions) (*subhub.Subscription, error) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.closed {
+		return nil, ErrPoolClosed
+	}
+	return p.hub.SubscribeBatch(o)
 }
 
 // Unsubscribe cancels a subscription obtained from Subscribe. Nil-safe and
@@ -731,9 +755,16 @@ func pushBatchOf[T ~uint64](p *Pool, ids []T, tc spans.Context) error {
 	m := p.smap.Load()
 	n := len(p.workers)
 	pl := getPayload(len(ids))
+	// Gate σ′ generation on a single atomic load: with no live subscriber
+	// the batch carries no draw area and every shard takes the draw-free
+	// fast path.
+	emit := p.hub.Active()
 	if n == 1 {
 		for i, id := range ids {
 			pl.buf[i] = uint64(id)
+		}
+		if emit {
+			pl.withDraws(1)
 		}
 		pl.refs.Store(1)
 		p.send(0, pl.buf, pl, tc)
@@ -766,6 +797,12 @@ func pushBatchOf[T ~uint64](p *Pool, ids []T, tc spans.Context) error {
 		backing[counts[s]] = uint64(id)
 		counts[s]++
 	}
+	if emit {
+		pl.withDraws(n)
+		for i := range pl.segs {
+			pl.segs[i].off = counts[n+i]
+		}
+	}
 	// The refcount must cover every sub-batch before the first send: a fast
 	// shard could process and release its share — driving refs to zero and
 	// recycling the payload — while later sends still alias it.
@@ -781,10 +818,12 @@ func pushBatchOf[T ~uint64](p *Pool, ids []T, tc spans.Context) error {
 
 // send enqueues one sub-batch on shard i; the caller holds mu for reading.
 // pl is the refcounted payload batch aliases (nil when the batch owns its
-// backing array); the drop path must release it like a worker would.
+// backing array), and i also indexes batch's draw segment in it; the drop
+// path must release it like a worker would, since a dropped sub-batch may
+// be the last reference its siblings' draws wait on.
 func (p *Pool) send(i int, batch []uint64, pl *payload, tc spans.Context) {
 	w := p.workers[i]
-	it := ringItem{ids: batch, pl: pl, tc: tc}
+	it := ringItem{ids: batch, pl: pl, tc: tc, seg: i}
 	if p.cfg.Block {
 		w.push(it)
 		return
@@ -795,7 +834,7 @@ func (p *Pool) send(i int, batch []uint64, pl *payload, tc spans.Context) {
 	}
 	w.dropped.Add(uint64(len(batch)))
 	if pl != nil {
-		pl.release()
+		p.release(pl, tc)
 	}
 }
 

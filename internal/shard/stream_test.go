@@ -2,10 +2,13 @@ package shard
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nodesampling/internal/rng"
+	"nodesampling/internal/spans"
+	"nodesampling/internal/subhub"
 )
 
 // TestSubscribeReceivesOutputStream subscribes before pushing and checks
@@ -304,5 +307,180 @@ func TestStalledSubscriberAccounting(t *testing.T) {
 	}
 	if p.NumSubscribers() != 0 {
 		t.Fatalf("NumSubscribers after cancel = %d", p.NumSubscribers())
+	}
+}
+
+// TestOneEmissionPerPushedBatch pins the σ′ unit: with four shards and a
+// live subscriber, every pushed batch reaches the emitter as one draw batch
+// however many shards it touched, so N PushBatch calls produce exactly N
+// OnEmitLag observations (not one per shard sub-batch) and all N·len draws.
+func TestOneEmissionPerPushedBatch(t *testing.T) {
+	const batches, batchLen = 40, 512
+	var lags atomic.Int64
+	cfg := testConfig(4, 10, 16, 4, true, 16)
+	cfg.EmitBuffer = 4 * batches // room for every sub-batch: nothing is dropped
+	cfg.OnEmitLag = func(float64) { lags.Add(1) }
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = p.Close() }()
+	sub, err := p.SubscribeBatch(subhub.SubOptions{Capacity: batches * batchLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	ids := make([]uint64, batchLen)
+	for b := 0; b < batches; b++ {
+		for i := range ids {
+			ids[i] = uint64(b*batchLen + i)
+		}
+		if err := p.PushBatch(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for sub.Offered() < batches*batchLen {
+		if time.Now().After(deadline) {
+			t.Fatalf("hub offered %d draws, want %d", sub.Offered(), batches*batchLen)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := p.Stats(); st.EmitDropped != 0 || st.Processed != batches*batchLen {
+		t.Fatalf("processed %d, emit-dropped %d", st.Processed, st.EmitDropped)
+	}
+	if got := lags.Load(); got != batches {
+		t.Fatalf("%d emissions (OnEmitLag calls) for %d pushed batches", got, batches)
+	}
+}
+
+// TestEmitConservationUnderDrops floods a non-blocking pool with one-slot
+// shard queues while subscribed: whole sub-batches are dropped at full
+// queues, and a dropped sub-batch may hold its payload's last reference.
+// Every processed id's draw must still reach the hub or be counted as
+// emit-dropped — hub-offered + EmitDropped == processed — so a drop never
+// strands its siblings' draws.
+func TestEmitConservationUnderDrops(t *testing.T) {
+	p := newTestPool(t, 4, 10, 16, 4, false, 1)
+	sub, err := p.Subscribe(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ids := make([]uint64, 256)
+			for b := 0; b < 300; b++ {
+				for i := range ids {
+					ids[i] = uint64(g)<<40 | uint64(b*len(ids)+i)
+				}
+				if err := p.PushBatch(ids); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	var st Stats
+	for {
+		st = p.Stats()
+		if len(st.Subscribers) == 1 && st.Subscribers[0].Offered+st.EmitDropped == st.Processed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("σ′ not conserved: processed %d, offered %v, emit-dropped %d (dropped ids %d)",
+				st.Processed, st.Subscribers, st.EmitDropped, st.Dropped)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st.Dropped == 0 {
+		t.Fatal("flood dropped no sub-batch: the drop path went unexercised")
+	}
+}
+
+// TestDroppedLastSubBatchEmitsSiblings makes the drop path hold a payload's
+// last reference deterministically: shard 1 is stalled with a full queue,
+// shard 0's sub-batch is processed first (draw written), then shard 1's
+// sub-batch is dropped at send. The drop must emit the batch's draws — the
+// sibling's draw reaches the hub — rather than recycle them with the
+// payload.
+func TestDroppedLastSubBatchEmitsSiblings(t *testing.T) {
+	p := newTestPool(t, 2, 10, 16, 4, false, 1)
+	sub, err := p.Subscribe(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
+	var on [2][]uint64 // ids routed to each shard
+	for id := uint64(1); len(on[0]) < 4 || len(on[1]) < 4; id++ {
+		s := p.ShardOf(id)
+		on[s] = append(on[s], id)
+	}
+	w1 := p.workers[1]
+	w1.mu.Lock() // stall shard 1 inside its first batch
+	stalled := true
+	defer func() {
+		if stalled {
+			w1.mu.Unlock()
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	if err := p.PushBatch(on[1][:1]); err != nil {
+		t.Fatal(err)
+	}
+	for w1.q.deq.Load() == 0 { // the worker took it and blocked
+		if time.Now().After(deadline) {
+			t.Fatal("shard 1 never dequeued its first batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < w1.q.Cap(); i++ {
+		if err := p.PushBatch(on[1][:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w1.q.Len() != w1.q.Cap() {
+		t.Fatalf("shard 1 queue holds %d of %d", w1.q.Len(), w1.q.Cap())
+	}
+	offeredBefore := sub.Offered()
+
+	pl := getPayload(2)
+	pl.buf[0], pl.buf[1] = on[0][0], on[1][0]
+	pl.withDraws(2)
+	pl.segs[1].off = 1
+	pl.refs.Store(2)
+	p.workers[0].process(p, ringItem{ids: pl.buf[0:1:1], pl: pl, seg: 0})
+	droppedBefore := w1.dropped.Load()
+	p.mu.RLock()
+	p.send(1, pl.buf[1:2:2], pl, spans.Context{})
+	p.mu.RUnlock()
+	if w1.dropped.Load() != droppedBefore+1 {
+		t.Fatal("shard 1's sub-batch was not dropped at its full queue")
+	}
+	w1.mu.Unlock()
+	stalled = false
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1's stalled batch and its queued ones emit one draw each, on
+	// top of the sibling's.
+	want := offeredBefore + 1 + uint64(w1.q.Cap()) + 1
+	for sub.Offered()+p.Stats().EmitDropped < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("hub offered %d draws (+%d emit-dropped), want %d: the dropped sub-batch stranded its sibling's draw",
+				sub.Offered(), p.Stats().EmitDropped, want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

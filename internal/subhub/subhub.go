@@ -4,13 +4,28 @@
 // the producer.
 //
 // Each subscriber owns a fixed-capacity ring buffer filled by Publish under
-// a non-blocking drop-oldest policy, and a pump goroutine that moves ring
-// contents onto the subscriber's delivery channel. Publish only appends to
-// rings — it never blocks and never waits for a consumer — so ingestion
-// throughput is decoupled from delivery entirely, mirroring the root
-// package's Service guarantee that a lagging subscriber costs dropped
-// stream elements (which a sampling stream can always afford: a later draw
-// carries the same information) rather than stalling the pipeline.
+// a non-blocking drop-oldest policy. Publish only appends to rings — it
+// never blocks and never waits for a consumer — so ingestion throughput is
+// decoupled from delivery entirely, mirroring the root package's Service
+// guarantee that a lagging subscriber costs dropped stream elements (which
+// a sampling stream can always afford: a later draw carries the same
+// information) rather than stalling the pipeline.
+//
+// A subscription's consumer shape is fixed when it is created:
+//
+//   - Channel-fed (Subscribe, SubscribeEvery, SubscribeWith): a pump
+//     goroutine moves ring contents one id at a time onto a buffered
+//     delivery channel, read through C. This suits consumers that select
+//     on the stream next to other events.
+//   - Batch-fed (SubscribeBatch): no pump and no channel. The consumer
+//     calls Next, which blocks until the ring holds ids and then moves the
+//     whole ring out in one take. This suits consumers that forward σ′ in
+//     bulk, such as the daemon's stream writer, which frames each take
+//     straight onto its socket.
+//
+// Upstream, the shard pool publishes σ′ as one unit per pushed batch, so
+// each Publish carries a whole batch's draws and a batch-fed consumer
+// typically takes one publish's worth per Next.
 //
 // Subscriptions may opt into decimation (SubscribeEvery): only every k-th
 // offered id enters the ring, so a modest consumer rides a fast hub
@@ -22,11 +37,12 @@
 // "at most R ids/second" regardless of how fast the pool runs.
 //
 // Accounting is exact: every id offered to a subscription is eventually
-// counted as delivered (handed to the delivery channel), dropped
-// (overwritten in the ring, or discarded at cancellation), filtered
-// (thinned away by the decimation interval) or capped (discarded by the
-// rate limiter), so Offered == Delivered + Dropped + Filtered + Capped
-// once a subscription has been cancelled.
+// counted as delivered (handed to the delivery channel, or taken by Next),
+// dropped (overwritten in the ring, or discarded at cancellation),
+// filtered (thinned away by the decimation interval) or capped (discarded
+// by the rate limiter), so Offered == Delivered + Dropped + Filtered +
+// Capped once a subscription has been cancelled (for a batch-fed one, once
+// Next has reported the end of the stream).
 package subhub
 
 import (
@@ -95,7 +111,8 @@ func (h *Hub) SubscribeEvery(capacity, every int) (*Subscription, error) {
 
 // SubOptions parameterises SubscribeWith, the full subscription surface.
 type SubOptions struct {
-	// Capacity is the ring buffer (and delivery channel) size, in ids.
+	// Capacity is the ring buffer (and, when channel-fed, delivery channel)
+	// size, in ids.
 	// Required, in [1, MaxSubscriptionBuffer].
 	Capacity int
 	// Every is the decimation interval (0 and 1 both deliver everything),
@@ -113,9 +130,21 @@ type SubOptions struct {
 	InitialSeen uint64
 }
 
-// SubscribeWith registers a new subscriber with decimation, rate capping
-// and decimation-phase seeding per o.
+// SubscribeWith registers a new channel-fed subscriber with decimation,
+// rate capping and decimation-phase seeding per o.
 func (h *Hub) SubscribeWith(o SubOptions) (*Subscription, error) {
+	return h.subscribe(o, false)
+}
+
+// SubscribeBatch registers a new batch-fed subscriber per o: the consumer
+// reads with Next, and the subscription has no pump goroutine and no
+// delivery channel (C returns nil). Cancel never blocks; ids still in the
+// ring at the cut stay readable through Next.
+func (h *Hub) SubscribeBatch(o SubOptions) (*Subscription, error) {
+	return h.subscribe(o, true)
+}
+
+func (h *Hub) subscribe(o SubOptions, batch bool) (*Subscription, error) {
 	capacity, every := o.Capacity, o.Every
 	if capacity < 1 || capacity > MaxSubscriptionBuffer {
 		return nil, fmt.Errorf("subhub: subscription capacity must be in [1, %d], got %d", MaxSubscriptionBuffer, capacity)
@@ -133,17 +162,19 @@ func (h *Hub) SubscribeWith(o SubOptions) (*Subscription, error) {
 	}
 	h.nextID++
 	s := &Subscription{
-		id:       h.nextID,
-		hub:      h,
-		every:    uint64(every),
-		seen:     o.InitialSeen % uint64(every),
-		rate:     float64(o.RatePerSec),
-		ring:     make([]uint64, capacity),
-		out:      make(chan uint64, capacity),
-		wake:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		pumpDone: make(chan struct{}),
-		now:      func() int64 { return time.Now().UnixNano() },
+		id:    h.nextID,
+		hub:   h,
+		every: uint64(every),
+		seen:  o.InitialSeen % uint64(every),
+		rate:  float64(o.RatePerSec),
+		ring:  make([]uint64, capacity),
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		now:   func() int64 { return time.Now().UnixNano() },
+	}
+	if !batch {
+		s.out = make(chan uint64, capacity)
+		s.pumpDone = make(chan struct{})
 	}
 	if s.rate > 0 {
 		// A full bucket at birth: the first second's budget is available
@@ -154,7 +185,9 @@ func (h *Hub) SubscribeWith(o SubOptions) (*Subscription, error) {
 	h.subs = append(h.subs, s)
 	h.active.Add(1)
 	h.mu.Unlock()
-	go s.pump()
+	if !batch {
+		go s.pump()
+	}
 	return s, nil
 }
 
@@ -184,7 +217,7 @@ func (h *Hub) Publish(ids []uint64) {
 type SubStats struct {
 	ID        uint64 // stable per-hub subscription identifier
 	Offered   uint64 // ids published while this subscription was live
-	Delivered uint64 // ids handed to the delivery channel
+	Delivered uint64 // ids handed to the delivery channel or taken by Next
 	Dropped   uint64 // ids overwritten in the ring or discarded at cancel
 	Filtered  uint64 // ids thinned away by the decimation interval
 	Capped    uint64 // ids discarded by the delivery rate cap
@@ -236,19 +269,21 @@ func (h *Hub) Close() {
 }
 
 // Subscription is one subscriber's endpoint: a ring buffer written by the
-// hub and a delivery channel read by the consumer. Obtain one from
-// Hub.Subscribe and release it with Cancel.
+// hub and read by the consumer, either through a delivery channel
+// (channel-fed) or through Next (batch-fed). Obtain one from Hub.Subscribe
+// or Hub.SubscribeBatch and release it with Cancel.
 type Subscription struct {
 	id  uint64
 	hub *Hub
 
-	// out is the delivery channel. Its buffer equals the ring capacity, so
-	// the total lag a subscriber can accumulate before losing elements is
-	// roughly twice the requested capacity.
+	// out is the delivery channel of a channel-fed subscription (nil when
+	// batch-fed). Its buffer equals the ring capacity, so the total lag a
+	// subscriber can accumulate before losing elements is roughly twice
+	// the requested capacity.
 	out chan uint64
 
-	done       chan struct{} // closed by Cancel; unblocks the pump
-	pumpDone   chan struct{} // closed when the pump goroutine exits
+	done       chan struct{} // closed by Cancel; unblocks the pump or Next
+	pumpDone   chan struct{} // closed when the pump exits; nil when batch-fed
 	cancelOnce sync.Once
 
 	mu     sync.Mutex
@@ -256,7 +291,7 @@ type Subscription struct {
 	head   int // index of the oldest buffered id
 	size   int // ids currently buffered
 	closed bool
-	wake   chan struct{} // capacity 1: at-least-once data signal for the pump
+	wake   chan struct{} // capacity 1: at-least-once data signal for the pump or Next
 
 	// every is the decimation interval; seen counts offered ids modulo it
 	// (guarded by mu, like the ring it feeds).
@@ -281,10 +316,40 @@ type Subscription struct {
 // ID returns the hub-assigned subscription identifier.
 func (s *Subscription) ID() uint64 { return s.id }
 
-// C returns the delivery channel. It is closed after Cancel (or hub Close)
-// once the pump has exited; ids already in the channel buffer remain
-// readable after the close.
+// C returns the delivery channel of a channel-fed subscription. It is
+// closed after Cancel (or hub Close) once the pump has exited; ids already
+// in the channel buffer remain readable after the close. A batch-fed
+// subscription has no channel and returns nil.
 func (s *Subscription) C() <-chan uint64 { return s.out }
+
+// Next is a batch-fed subscription's read: it blocks until the ring holds
+// ids or the subscription is cancelled, then moves the whole ring into
+// buf[:0] and returns it, counting the ids as delivered. After Cancel it
+// returns whatever the ring still held at the cut, then reports the end
+// of the stream with ok == false. One goroutine reads a subscription; on a
+// channel-fed subscription, whose pump owns the ring, use C instead.
+func (s *Subscription) Next(buf []uint64) (ids []uint64, ok bool) {
+	if s.pumpDone != nil {
+		panic("subhub: Next on a channel-fed subscription")
+	}
+	cut := false
+	for {
+		if buf = s.take(buf[:0]); len(buf) > 0 {
+			s.delivered.Add(uint64(len(buf)))
+			return buf, true
+		}
+		if cut {
+			return buf, false
+		}
+		select {
+		case <-s.wake:
+		case <-s.done:
+			// Offers stop before done closes, so one more take sees the
+			// ring as the cut left it.
+			cut = true
+		}
+	}
+}
 
 // Done returns a channel closed when the subscription is cancelled. Bridges
 // that forward C to another sink select on it to unblock a pending send.
@@ -294,7 +359,8 @@ func (s *Subscription) Done() <-chan struct{} { return s.done }
 // live.
 func (s *Subscription) Offered() uint64 { return s.offered.Load() }
 
-// Delivered returns how many ids were handed to the delivery channel.
+// Delivered returns how many ids were handed to the delivery channel or
+// taken by Next.
 func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 
 // Dropped returns how many ids were lost to the drop-oldest policy (plus
@@ -323,13 +389,16 @@ func (s *Subscription) Seen() uint64 {
 	return s.seen
 }
 
-// Cancel detaches the subscription from the hub and closes the delivery
-// channel. Ids already buffered are flushed into the channel as far as its
-// capacity allows — without ever blocking — and the remainder is counted
-// as dropped, so Offered == Delivered + Dropped + Filtered + Capped holds
-// after cancellation and a consumer that kept up loses nothing to the
-// shutdown.
-// Idempotent and safe to call concurrently with Publish.
+// Cancel detaches the subscription from the hub. On a channel-fed
+// subscription it closes the delivery channel: ids already buffered are
+// flushed into the channel as far as its capacity allows — without ever
+// blocking — and the remainder is counted as dropped, so Offered ==
+// Delivered + Dropped + Filtered + Capped holds after cancellation and a
+// consumer that kept up loses nothing to the shutdown. On a batch-fed
+// subscription Cancel only marks the cut: Next hands out what the ring
+// still holds and then reports the end, after which the identity holds.
+// Idempotent, never blocked by the consumer, and safe to call
+// concurrently with Publish.
 func (s *Subscription) Cancel() {
 	s.cancelOnce.Do(func() {
 		s.mu.Lock()
@@ -337,12 +406,17 @@ func (s *Subscription) Cancel() {
 		s.mu.Unlock()
 		close(s.done)
 		s.hub.remove(s)
-		<-s.pumpDone
+		if s.pumpDone != nil {
+			<-s.pumpDone
+		}
 	})
 }
 
 // offer appends ids to the ring under the drop-oldest policy. Called by the
-// hub with the hub lock held; never blocks.
+// hub with the hub lock held; never blocks. Decimation is a stride: the
+// kept ids are the ones that complete a 1-in-every window, so offer jumps
+// from one kept position to the next and its cost is O(kept ids), not
+// O(offered ids); the filtered count and the next phase are arithmetic.
 func (s *Subscription) offer(ids []uint64) {
 	s.mu.Lock()
 	if s.closed {
@@ -366,15 +440,21 @@ func (s *Subscription) offer(ids []uint64) {
 		}
 		s.lastRefill = now
 	}
-	for _, id := range ids {
-		if s.every > 1 {
-			s.seen++
-			if s.seen < s.every {
-				filtered++
-				continue
-			}
-			s.seen = 0
+	first, stride := 0, 1
+	if s.every > 1 {
+		// ids[i] is the (seen+i+1)-th id of the current window, so the
+		// first kept one is at every-1-seen and the rest follow every apart.
+		l := uint64(len(ids))
+		f := s.every - 1 - s.seen
+		kept := uint64(0)
+		if f < l {
+			kept = (l-1-f)/s.every + 1
 		}
+		filtered = l - kept
+		s.seen = (s.seen + l) % s.every
+		first, stride = int(min(f, l)), int(s.every)
+	}
+	for i := first; i < len(ids); i += stride {
 		if s.rate > 0 {
 			if s.tokens < 1 {
 				capped++
@@ -382,6 +462,7 @@ func (s *Subscription) offer(ids []uint64) {
 			}
 			s.tokens--
 		}
+		id := ids[i]
 		if s.size == n {
 			s.ring[s.head] = id
 			s.head++
@@ -390,11 +471,11 @@ func (s *Subscription) offer(ids []uint64) {
 			}
 			dropped++
 		} else {
-			i := s.head + s.size
-			if i >= n {
-				i -= n
+			j := s.head + s.size
+			if j >= n {
+				j -= n
 			}
-			s.ring[i] = id
+			s.ring[j] = id
 			s.size++
 		}
 	}
@@ -414,21 +495,25 @@ func (s *Subscription) offer(ids []uint64) {
 	}
 }
 
-// take moves the ring contents into buf. The pump keeps calling it after
-// Cancel to flush what was buffered before the cut (offers stop at Cancel,
-// so the drain terminates).
+// take moves the ring contents into buf. The pump (or Next) keeps calling
+// it after Cancel to flush what was buffered before the cut (offers stop at
+// Cancel, so the drain terminates).
 func (s *Subscription) take(buf []uint64) []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.ring)
-	for i := 0; i < s.size; i++ {
-		buf = append(buf, s.ring[s.head])
-		s.head++
-		if s.head == n {
-			s.head = 0
-		}
+	end := s.head + s.size
+	if end <= n {
+		buf = append(buf, s.ring[s.head:end]...)
+	} else {
+		end -= n
+		buf = append(buf, s.ring[s.head:]...)
+		buf = append(buf, s.ring[:end]...)
 	}
-	s.size = 0
+	if end == n {
+		end = 0
+	}
+	s.head, s.size = end, 0
 	return buf
 }
 
@@ -486,8 +571,9 @@ func (s *Subscription) flush(ids []uint64) bool {
 }
 
 // stats snapshots the counters; the caller holds the hub lock. Depth spans
-// both buffering stages — the ring and the delivery channel — so a lagging
-// consumer's backlog is visible before drops begin.
+// both buffering stages — the ring and the delivery channel (none when
+// batch-fed) — so a lagging consumer's backlog is visible before drops
+// begin.
 func (s *Subscription) stats() SubStats {
 	s.mu.Lock()
 	depth := s.size + len(s.out)

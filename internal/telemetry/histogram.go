@@ -124,7 +124,7 @@ var latencyFamilies = []struct{ name, help string }{
 	{"unsd_resize_duration_seconds", "Wall time of one live shard-plane resize hand-off (quiesce, re-partition, sketch merge)."},
 	{"unsd_sample_duration_seconds", "Server-side latency of one Sample/SampleN evaluation, any surface (HTTP, framed stream)."},
 	{"unsd_ingest_batch_duration_seconds", "Server-side latency of ingesting one wire batch into the shard plane, any surface."},
-	{"unsd_emit_delivery_lag_seconds", "Lag between a shard worker emitting a sigma-prime draw batch and its fan-out to subscriber rings."},
+	{"unsd_emit_delivery_lag_seconds", "Lag between a pushed batch's sigma-prime draws leaving the shard workers and their fan-out to subscriber rings; one observation per emitted batch."},
 }
 
 // Latency bundles the daemon's latency histograms. One instance is wired
